@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .units import DEFAULT_UNITS, UnitSystem, convert_rate, convert_rate_to_si
 from .qstate import (
     Grid1D,
-    HybridState,
     WaveFunction,
     gaussian_packet,
     observables,
@@ -33,7 +32,6 @@ __all__ = [
     "convert_rate",
     "convert_rate_to_si",
     "Grid1D",
-    "HybridState",
     "WaveFunction",
     "gaussian_packet",
     "observables",

@@ -152,8 +152,9 @@ def sample_hit_center(
     j = min(j, grid.n_points - 1)
     below = cdf[j - 1] if j > 0 else 0.0
     frac = (u - below) / masses[j] if masses[j] > 0 else 0.5
-    # cell j is centered on grid point j
-    return float(grid.x_min + (j - 0.5 + frac) * grid.dx)
+    # cell j is centered on grid point j; the left half of cell 0 wraps
+    # around the periodic seam to the top of the box
+    return float(grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent)
 
 
 def localization_amplitude(grid: Grid1D, a: float, r_c: float) -> np.ndarray:
@@ -169,17 +170,24 @@ def apply_hit(
 
     weight = ||L(a) psi||^2 is the Born weight of the realized branch.
     """
-    grid = psi.grid
+    amps, weight = _localize(psi.amps, psi.grid, a, r_c)
+    return psi.with_amps(amps), weight
+
+
+def _localize(
+    amps: np.ndarray, grid: Grid1D, a: float, r_c: float
+) -> tuple[np.ndarray, float]:
+    """L(a) applied to every row of amps, renormalized jointly over the rows."""
     _check_kernel_resolved(grid, r_c)
     if not (grid.x_min <= a <= grid.x_max):
         raise DomainError(f"hit center {a} outside grid [{grid.x_min}, {grid.x_max}]")
-    hit_amps = localization_amplitude(grid, a, r_c) * psi.amps
+    hit_amps = localization_amplitude(grid, a, r_c) * amps
     weight = float(np.sum(np.abs(hit_amps) ** 2) * grid.dx)
     if weight < MIN_HIT_WEIGHT:
         raise ZeroSupportError(
             f"hit at a = {a} lands on negligible amplitude (weight = {weight})"
         )
-    return psi.with_amps(hit_amps / np.sqrt(weight)), weight
+    return hit_amps / np.sqrt(weight), weight
 
 
 def effective_reduction_rate(
@@ -196,6 +204,51 @@ def effective_reduction_rate(
     return total * -np.expm1(-(d**2) / (4.0 * params.r_c**2))
 
 
+def step_count(t_total: float, dt: float) -> int:
+    """Steps of size dt that cover t_total."""
+    if t_total <= 0 or dt <= 0:
+        raise DomainError("t_total and dt must be positive")
+    return int(round(t_total / dt))
+
+
+def hit_and_step(
+    amps: np.ndarray,
+    grid: Grid1D,
+    stepper: Stepper,
+    rate: float,
+    r_c: float,
+    n_steps: int,
+    rng: np.random.Generator,
+    events: list[CollapseEvent] | None = None,
+):
+    """The GRW process on K branch rows: yields (b, amps) at b = 0..n_steps.
+
+    amps has shape (K, N); all rows share one hit sequence.  At each step
+    boundary b the hits snapped to b are applied first: the center is drawn
+    from the density summed over rows, L(a) multiplies every row, and the
+    rows are renormalized jointly.  Then (b, amps) is yielded, and unless b
+    is the last boundary all rows take one Schrodinger step of stepper.dt.
+    Hit times are snapped to the nearest step boundary; the exact waiting
+    times are kept when scheduling the following hit, so counts are unbiased.
+    Each hit is appended to events when a list is given.
+    """
+    dt = stepper.dt
+    t_next = sample_next_hit_time(rate, rng)
+    next_step = None if t_next is None else int(round(t_next / dt))
+    for b in range(n_steps + 1):
+        while next_step == b:
+            p = _density_convolution(np.sum(np.abs(amps) ** 2, axis=0), grid, r_c)
+            a = sample_hit_center(p, grid, rng)
+            amps, weight = _localize(amps, grid, a, r_c)
+            if events is not None:
+                events.append(CollapseEvent(t=b * dt, center=a, branch_weight=weight))
+            t_next += exponential_variate(rng, rate)
+            next_step = int(round(t_next / dt))
+        yield b, amps
+        if b < n_steps:
+            amps = stepper.step(amps)
+
+
 def grw_trajectory(
     psi0: WaveFunction,
     v: Potential,
@@ -207,48 +260,27 @@ def grw_trajectory(
     units: UnitSystem = DEFAULT_UNITS,
     seed: int = 0,
 ) -> TrajectoryRecord:
-    """One GRW trajectory: Schrodinger steps interleaved with random hits.
-
-    Hit times are snapped to the nearest step boundary; the exact waiting
-    times are kept when scheduling the following hit, so counts are unbiased.
-    """
-    if t_total <= 0 or dt <= 0:
-        raise DomainError("t_total and dt must be positive")
+    """One GRW trajectory (see hit_and_step), with observables sampled at
+    every sample_every-th step boundary and at the last one."""
+    n_steps = step_count(t_total, dt)
     if sample_every < 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = int(round(t_total / dt))
     rate = params.total_rate_internal(units, psi0.mass)
     stepper = Stepper(psi0.grid, v, dt, psi0.mass)
 
-    psi = psi0
     events: list[CollapseEvent] = []
     sample_times: list[float] = []
     obs: list[dict[str, float]] = []
-
-    tau = sample_next_hit_time(rate, rng)
-    t_next = tau if tau is not None else None
-    next_step = None if t_next is None else int(round(t_next / dt))
-
-    for b in range(n_steps + 1):
-        while next_step is not None and next_step == b:
-            p = hit_position_density(psi, params.r_c)
-            a = sample_hit_center(p, psi.grid, rng)
-            psi, weight = apply_hit(psi, a, params.r_c)
-            events.append(CollapseEvent(t=b * dt, center=a, branch_weight=weight))
-            t_next += exponential_variate(rng, rate)
-            next_step = int(round(t_next / dt))
-            if next_step > n_steps:
-                next_step = None
+    for b, amps in hit_and_step(psi0.amps[None], psi0.grid, stepper, rate,
+                                params.r_c, n_steps, rng, events):
         if b % sample_every == 0 or b == n_steps:
             sample_times.append(b * dt)
-            obs.append(observables(psi, v))
-        if b < n_steps:
-            psi = psi.with_amps(stepper.step(psi.amps))
+            obs.append(observables(psi0.with_amps(amps[0]), v))
 
     return TrajectoryRecord(
         events=events,
         sample_times=sample_times,
         observables_at_samples=obs,
-        final_state=psi,
+        final_state=psi0.with_amps(amps[0]),
         seed=seed,
     )

@@ -7,26 +7,23 @@ of thread count; see ensemble.map_trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import stats
 
 from .collapse import (
     CollapseParams,
-    apply_hit,
     effective_reduction_rate,
     grw_trajectory,
-    hit_position_density,
-    localization_amplitude,
-    sample_hit_center,
-    _density_convolution,
+    hit_and_step,
+    step_count,
 )
 from .ensemble import map_trajectories
 from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
-from .propagator import Potential, Stepper, spread_analytic
-from .qstate import Grid1D, HybridState, WaveFunction, gaussian_packet, superpose
-from .rngstream import exponential_variate, trajectory_rng
+from .propagator import Potential, Stepper
+from .qstate import Grid1D, WaveFunction, gaussian_packet, superpose
+from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS, UnitSystem
 
 
@@ -89,15 +86,19 @@ class MeasurementConfig:
             )
 
 
-def _initial_hybrid(cfg: MeasurementConfig) -> HybridState:
+def _initial_hybrid(cfg: MeasurementConfig) -> tuple[Grid1D, np.ndarray]:
+    """The spin (x) pointer state as rows (up, down) of one (2, N) array."""
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     mass = cfg.pointer_n_nucleons
     d = cfg.pointer_separation
     left = gaussian_packet(grid, -d / 2.0, 0.0, cfg.pointer_sigma, mass)
     right = gaussian_packet(grid, +d / 2.0, 0.0, cfg.pointer_sigma, mass)
-    up = left.with_amps(cfg.c_up * left.amps)
-    down = right.with_amps(cfg.c_down * right.amps)
-    return HybridState(up, down).normalized()
+    amps = np.stack([cfg.c_up * left.amps, cfg.c_down * right.amps])
+    return grid, amps / np.sqrt(np.sum(_branch_weights(amps, grid)))
+
+
+def _branch_weights(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
+    return np.sum(np.abs(amps) ** 2, axis=1) * grid.dx
 
 
 def born_trial(
@@ -111,42 +112,24 @@ def born_trial(
     Hits are applied jointly: the center is drawn from the branch-weighted
     total position density and L(a) multiplies both branch wavefunctions.
     """
-    state = _initial_hybrid(cfg)
+    grid, amps = _initial_hybrid(cfg)
     rate = params.total_rate_internal(units)
     if rate <= 0:
         raise ConfigError("born_trial needs a positive total collapse rate")
     dt = cfg.hit_resolution / rate
     n_max = int(round(cfg.hits_budget / cfg.hit_resolution))
-    grid = state.branch_up.grid
-    stepper = Stepper(grid, Potential.free(), dt, state.branch_up.mass)
+    stepper = Stepper(grid, Potential.free(), dt, cfg.pointer_n_nucleons)
 
-    t_next = exponential_variate(rng, rate)
-    next_step = int(round(t_next / dt))
-
-    for b in range(n_max + 1):
-        while next_step == b:
-            rho = state.branch_up.density() + state.branch_down.density()
-            p = _density_convolution(rho, grid, params.r_c)
-            a = sample_hit_center(p, grid, rng)
-            g = localization_amplitude(grid, a, params.r_c)
-            up = state.branch_up.with_amps(g * state.branch_up.amps)
-            down = state.branch_down.with_amps(g * state.branch_down.amps)
-            state = HybridState(up, down).normalized()
-            t_next += exponential_variate(rng, rate)
-            next_step = int(round(t_next / dt))
-        w_up, w_down = state.weights()
+    for _, amps in hit_and_step(amps, grid, stepper, rate, params.r_c, n_max, rng):
+        w_up, w_down = _branch_weights(amps, grid)
         if w_down < cfg.decision_epsilon:
             return "up"
         if w_up < cfg.decision_epsilon:
             return "down"
-        if b < n_max:
-            state = HybridState(
-                state.branch_up.with_amps(stepper.step(state.branch_up.amps)),
-                state.branch_down.with_amps(stepper.step(state.branch_down.amps)),
-            )
     raise DecisionTimeoutError(
         f"no outcome after {cfg.hits_budget} expected hits "
-        f"(weights {state.weights()}); pointer too slow for this budget"
+        f"(weights {tuple(_branch_weights(amps, grid))}); "
+        "pointer too slow for this budget"
     )
 
 
@@ -204,6 +187,16 @@ class DecoherenceConfig:
     n_samples: int = 16
 
 
+def _decoherence_grid(cfg: DecoherenceConfig, params, d, units) -> tuple[float, int, int]:
+    """(dt, n_steps, sample_every) of a run over n_efoldings of Gamma(d)."""
+    rate = params.total_rate_internal(units)
+    gamma = units.rate_to_internal(effective_reduction_rate(d, params))
+    t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
+    dt = cfg.hit_resolution / rate
+    n_steps = max(1, int(round(t_total / dt)))
+    return dt, n_steps, max(1, n_steps // cfg.n_samples)
+
+
 def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     """One trajectory; returns a_L * conj(a_R) at the sample times."""
     cfg, params, d, units = job
@@ -215,39 +208,15 @@ def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
 
     rate = params.total_rate_internal(units)
-    gamma = units.rate_to_internal(effective_reduction_rate(d, params))
-    t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
-    dt = cfg.hit_resolution / rate
-    n_steps = max(1, int(round(t_total / dt)))
-    sample_every = max(1, n_steps // cfg.n_samples)
+    dt, n_steps, sample_every = _decoherence_grid(cfg, params, d, units)
     stepper = Stepper(grid, Potential.free(), dt, cfg.mass)
-
-    t_next = exponential_variate(rng, rate)
-    next_step = int(round(t_next / dt))
     out = []
-    for b in range(n_steps + 1):
-        while next_step == b:
-            p = hit_position_density(psi, params.r_c)
-            a = sample_hit_center(p, grid, rng)
-            psi, _ = apply_hit(psi, a, params.r_c)
-            t_next += exponential_variate(rng, rate)
-            next_step = int(round(t_next / dt))
+    for b, amps in hit_and_step(psi.amps[None], grid, stepper, rate, params.r_c,
+                                n_steps, rng):
         if b % sample_every == 0 or b == n_steps:
-            out.append(phi_l.overlap(psi) * np.conj(phi_r.overlap(psi)))
-        if b < n_steps:
-            psi = psi.with_amps(stepper.step(psi.amps))
+            psi_b = psi.with_amps(amps[0])
+            out.append(phi_l.overlap(psi_b) * np.conj(phi_r.overlap(psi_b)))
     return np.asarray(out, dtype=np.complex128)
-
-
-def _decoherence_times(cfg: DecoherenceConfig, params, d, units) -> np.ndarray:
-    rate = params.total_rate_internal(units)
-    gamma = units.rate_to_internal(effective_reduction_rate(d, params))
-    t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
-    dt = cfg.hit_resolution / rate
-    n_steps = max(1, int(round(t_total / dt)))
-    sample_every = max(1, n_steps // cfg.n_samples)
-    bounds = [b for b in range(n_steps + 1) if b % sample_every == 0 or b == n_steps]
-    return np.array([b * dt for b in bounds])
 
 
 def decoherence_scan(
@@ -267,7 +236,9 @@ def decoherence_scan(
         traces = map_trajectories(
             _coherence_samples, job, ensemble_size, seed_d, threads
         )
-        t = _decoherence_times(cfg, params, d, units)
+        dt, n_steps, sample_every = _decoherence_grid(cfg, params, d, units)
+        t = np.array([b * dt for b in range(n_steps + 1)
+                      if b % sample_every == 0 or b == n_steps])
         mean_c = np.abs(np.mean(np.stack(traces), axis=0))
         gamma_analytic = units.rate_to_internal(effective_reduction_rate(d, params))
         if gamma_analytic > 0:
@@ -347,13 +318,14 @@ def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
     left = gaussian_packet(grid, -d / 2.0, 0.0, cfg.sigma0, cfg.mass)
     right = gaussian_packet(grid, +d / 2.0, 0.0, cfg.sigma0, cfg.mass)
     psi0 = superpose(left, right, 1.0, 1.0)
-    rate = params.total_rate_internal(units)
+    rate = params.total_rate_internal(units, cfg.mass)
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
-    rec = grw_trajectory(
-        psi0, Potential.free(), params, t_flight, dt,
-        sample_every=10**9, rng=rng, units=units, seed=index,
-    )
-    return momentum_screen(rec.final_state)[1]
+    n_steps = step_count(t_flight, dt)
+    stepper = Stepper(grid, Potential.free(), dt, cfg.mass)
+    for _, amps in hit_and_step(psi0.amps[None], grid, stepper, rate, params.r_c,
+                                n_steps, rng):
+        pass
+    return momentum_screen(psi0.with_amps(amps[0]))[1]
 
 
 def fringe_contrast(

@@ -97,33 +97,6 @@ class WaveFunction:
         return complex(np.vdot(self.amps, other.amps) * self.grid.dx)
 
 
-@dataclass(frozen=True)
-class HybridState:
-    """Two-branch spin (x) pointer state: (up)*psi_up + (down)*psi_down."""
-
-    branch_up: WaveFunction
-    branch_down: WaveFunction
-
-    def __post_init__(self):
-        _require_same_grid(self.branch_up, self.branch_down)
-
-    def norm2(self) -> float:
-        return self.branch_up.norm2() + self.branch_down.norm2()
-
-    def weights(self) -> tuple[float, float]:
-        return self.branch_up.norm2(), self.branch_down.norm2()
-
-    def normalized(self) -> "HybridState":
-        n2 = self.norm2()
-        if not np.isfinite(n2) or n2 <= 0:
-            raise DegeneracyError(f"cannot normalize hybrid state with norm^2 = {n2}")
-        s = 1.0 / np.sqrt(n2)
-        return HybridState(
-            self.branch_up.with_amps(self.branch_up.amps * s),
-            self.branch_down.with_amps(self.branch_down.amps * s),
-        )
-
-
 def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")

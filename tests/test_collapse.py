@@ -8,14 +8,15 @@ from grwlab.collapse import (
     apply_hit,
     effective_reduction_rate,
     grw_trajectory,
+    hit_and_step,
     hit_position_density,
     localization_amplitude,
     sample_hit_center,
     sample_next_hit_time,
 )
 from grwlab.errors import DomainError, GridMismatchError
-from grwlab.propagator import Potential, split_step
-from grwlab.qstate import Grid1D, gaussian_packet, superpose
+from grwlab.propagator import Potential, Stepper, split_step
+from grwlab.qstate import Grid1D, WaveFunction, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
 from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
 
@@ -210,3 +211,41 @@ def test_reduction_rate_monotone_in_separation(d):
     g1 = effective_reduction_rate(d, params)
     g2 = effective_reduction_rate(d + 0.5, params)
     assert 0.0 <= g1 <= g2 <= params.total_rate_si()
+
+
+def test_hits_across_periodic_seam_stay_on_grid():
+    # a packet centred on the seam: its density has mass on both edges, and
+    # a draw in the left half of cell 0 must wrap to the top of the box
+    grid = Grid1D.centered(256, 32.0)
+    u = (grid.x - grid.x_min + 0.5 * grid.extent) % grid.extent - 0.5 * grid.extent
+    psi = WaveFunction(grid, np.exp(-(u**2) / 4.0), 1.0).normalized()
+    p = hit_position_density(psi, 1.0)
+    rng = trajectory_rng(3, 0)
+    for _ in range(2000):
+        a = sample_hit_center(p, grid, rng)
+        assert grid.x_min <= a < grid.x_max
+        apply_hit(psi, a, 1.0)
+
+
+def test_hit_and_step_identical_rows_follow_one_state():
+    # two equal branch rows carry the same density as the state they split,
+    # so they draw the same hits and each row stays that state / sqrt(2)
+    psi = superpose(
+        gaussian_packet(GRID, -6.0, 0.0, 1.0, 50.0),
+        gaussian_packet(GRID, +6.0, 0.0, 1.0, 50.0),
+        1.0, 1.0,
+    )
+    stepper = Stepper(GRID, Potential.free(), 0.01, 50.0)
+    runs = []
+    for rows in (psi.amps[None], np.stack([psi.amps, psi.amps]) / np.sqrt(2.0)):
+        events = []
+        states = [amps for _, amps in hit_and_step(
+            rows, GRID, stepper, 4.0, 1.0, 200, trajectory_rng(8, 0), events)]
+        runs.append((events, states))
+    (ev1, one), (ev2, two) = runs
+    assert len(ev1) > 2
+    np.testing.assert_allclose([e.center for e in ev2], [e.center for e in ev1],
+                               rtol=0, atol=1e-12)
+    for a, b in zip(one, two):
+        for row in b:
+            np.testing.assert_allclose(row, a[0] / np.sqrt(2.0), rtol=0, atol=1e-12)

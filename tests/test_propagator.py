@@ -87,6 +87,24 @@ def test_stepper_matches_split_step():
     np.testing.assert_array_equal(amps, out.amps)
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_stepper_rows_match_single_steps_bitwise(n):
+    # hit_and_step steps all branch rows in one call; each row must come out
+    # exactly as if stepped alone, or multi-branch runs would lose their bytes
+    grid = Grid1D.centered(n, 64.0)
+    rows = np.stack([
+        gaussian_packet(grid, -8.0, 1.0, 1.0, 3.0).amps,
+        0.5j * gaussian_packet(grid, 8.0, -2.0, 2.0, 3.0).amps,
+    ])
+    stepper = Stepper(grid, Potential.harmonic(0.05), 0.004, 3.0)
+    both, single = rows, [rows[0], rows[1]]
+    for _ in range(20):
+        both = stepper.step(both)
+        single = [stepper.step(r) for r in single]
+    for k in range(2):
+        assert both[k].tobytes() == single[k].tobytes()
+
+
 @given(
     st.floats(min_value=-1.5, max_value=1.5),
     st.floats(min_value=-1.5, max_value=1.5),

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from grwlab.errors import DegeneracyError, DomainError, GridMismatchError
 from grwlab.qstate import (
     Grid1D,
-    HybridState,
     WaveFunction,
     gaussian_packet,
     observables,
@@ -66,18 +65,6 @@ def test_superpose_and_mismatch():
     other = gaussian_packet(Grid1D.centered(128, 32.0), 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(GridMismatchError):
         superpose(a, other, 1.0, 1.0)
-
-
-def test_hybrid_state_weights():
-    up = gaussian_packet(GRID, -4.0, 0.0, 1.0, 1.0)
-    down = gaussian_packet(GRID, 4.0, 0.0, 1.0, 1.0)
-    h = HybridState(
-        up.with_amps(np.sqrt(0.2) * up.amps),
-        down.with_amps(np.sqrt(0.8) * down.amps),
-    )
-    w_up, w_down = h.weights()
-    assert w_up == pytest.approx(0.2, abs=1e-12)
-    assert w_down == pytest.approx(0.8, abs=1e-12)
 
 
 def test_states_are_immutable():
