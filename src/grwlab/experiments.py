@@ -199,8 +199,8 @@ def _decoherence_grid(cfg: DecoherenceConfig, params, d, units) -> tuple[float, 
 
 def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     """One trajectory; returns a_L * conj(a_R) at the sample times."""
-    cfg, params, d, units = job
-    rng = trajectory_rng(master_seed, index)
+    cfg, params, d, units, stream = job
+    rng = trajectory_rng(master_seed, index, stream)
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     sigma = cfg.packet_sigma_over_rc * params.r_c
     phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
@@ -231,10 +231,9 @@ def decoherence_scan(
     """Fit exp(-Gamma t) to ensemble-averaged branch coherence per separation."""
     reports = []
     for j, d in enumerate(separations):
-        job = (cfg, params, float(d), units)
-        seed_d = master_seed + j  # distinct stream block per separation
+        job = (cfg, params, float(d), units, j)  # stream tag j per separation
         traces = map_trajectories(
-            _coherence_samples, job, ensemble_size, seed_d, threads
+            _coherence_samples, job, ensemble_size, master_seed, threads
         )
         dt, n_steps, sample_every = _decoherence_grid(cfg, params, d, units)
         t = np.array([b * dt for b in range(n_steps + 1)
@@ -263,7 +262,7 @@ def decoherence_scan(
                 "coherence_initial": float(mean_c[0]),
                 "coherence_final": float(mean_c[-1]),
             },
-            seed=seed_d,
+            seed=master_seed,
         ))
     return reports
 

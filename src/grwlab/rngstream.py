@@ -2,7 +2,9 @@
 
 Streams are counter-based (Philox 4x64).  Trajectory i of an ensemble with
 master seed s gets key s * 2^64 + i, so every stream is independent of
-execution order and thread count.  Only uniform doubles are drawn from
+execution order and thread count.  A stream tag t, for runs that need
+several ensembles under one seed, starts the counter at t * 2^192: tag 0 is
+the plain stream, and streams of different tags never meet.  Only uniform doubles are drawn from
 numpy; all variates are derived from them explicitly.
 """
 
@@ -15,13 +17,17 @@ from .errors import DomainError
 _U64 = 1 << 64
 
 
-def trajectory_rng(master_seed: int, index: int = 0) -> np.random.Generator:
+def trajectory_rng(
+    master_seed: int, index: int = 0, stream: int = 0
+) -> np.random.Generator:
     if not (0 <= master_seed < _U64):
         raise DomainError(f"master_seed must be a u64, got {master_seed}")
     if index < 0:
         raise DomainError(f"trajectory index must be non-negative, got {index}")
+    if not (0 <= stream < _U64):
+        raise DomainError(f"stream tag must be a u64, got {stream}")
     key = (master_seed % _U64) * _U64 + index
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, stream]))
 
 
 def exponential_variate(rng: np.random.Generator, rate: float) -> float:

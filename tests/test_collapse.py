@@ -249,3 +249,13 @@ def test_hit_and_step_identical_rows_follow_one_state():
     for a, b in zip(one, two):
         for row in b:
             np.testing.assert_allclose(row, a[0] / np.sqrt(2.0), rtol=0, atol=1e-12)
+
+
+def test_stream_tags_give_distinct_streams():
+    base = trajectory_rng(5, 2).random(4)
+    assert np.array_equal(trajectory_rng(5, 2, stream=0).random(4), base)
+    tagged = [trajectory_rng(5, 2, stream=j).random(4) for j in (1, 2)]
+    assert not np.array_equal(tagged[0], base)
+    assert not np.array_equal(tagged[0], tagged[1])
+    with pytest.raises(DomainError):
+        trajectory_rng(5, 2, stream=-1)

@@ -147,3 +147,22 @@ def test_report_rejects_bad_counts():
             fit_diagnostics={},
             seed=0,
         )
+
+
+def _small_scan(separations, master_seed):
+    cfg = DecoherenceConfig(grid_n=512, n_efoldings=1.0, n_samples=4)
+    return decoherence_scan(separations, _params(2.0, 1.0), 6, cfg,
+                            master_seed=master_seed)
+
+
+def test_decoherence_separations_do_not_share_streams():
+    # separation 1 of seed 5 must not replay separation 0 of seed 6
+    shifted = _small_scan([10.0, 2.0], master_seed=5)[1]
+    base = _small_scan([2.0], master_seed=6)[0]
+    assert shifted.fit_diagnostics != base.fit_diagnostics
+    assert shifted.seed == 5
+
+
+def test_decoherence_scan_accepts_largest_seed():
+    reports = _small_scan([10.0, 2.0], master_seed=2**64 - 1)
+    assert [r.seed for r in reports] == [2**64 - 1] * 2
