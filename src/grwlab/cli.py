@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .collapse import CollapseParams, grw_trajectory
@@ -571,7 +570,6 @@ def run(argv: list[str]) -> int:
                 "grwlab": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "outputs": outputs,
             "timing": {

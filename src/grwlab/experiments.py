@@ -7,10 +7,10 @@ of thread count; see ensemble.map_trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import stats
 
 from .collapse import (
     CollapseParams,
@@ -157,7 +157,7 @@ def born_ensemble(
     observed = np.array([n_up, n - n_up])
     if 0 < p_up < 1:
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
-        p_value = float(stats.chi2.sf(chi2, df=1))
+        p_value = math.erfc(math.sqrt(chi2 / 2.0))  # chi-square sf, 1 dof
     else:
         chi2, p_value = 0.0, 1.0
     return EnsembleReport(
@@ -268,9 +268,19 @@ def decoherence_scan(
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray):
-    """OLS slope, intercept, R^2 and slope standard error."""
-    res = stats.linregress(x, y)
-    return res.slope, res.intercept, res.rvalue**2, res.stderr
+    """OLS slope, intercept, R^2 and slope standard error.
+
+    Computed from the biased covariance matrix, as scipy.stats.linregress
+    does, with the same bits.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = ssxym / np.sqrt(ssxm * ssym) if ssym != 0.0 else np.nan
+    r = min(max(r, -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    df = len(x) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df) if df > 0 else 0.0
+    return slope, intercept, r**2, stderr
 
 
 # ---------------------------------------------------------------------------

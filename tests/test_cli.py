@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,16 @@ def test_threads_env_default(tmp_path, monkeypatch):
         "--t-total-internal", "0.5", "--dt-internal", "0.005",
     ]) == 0
     assert _read_manifest(out)["threads"] == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, grwlab.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
