@@ -128,7 +128,7 @@ def born_trial(
             return "down"
     raise DecisionTimeoutError(
         f"no outcome after {cfg.hits_budget} expected hits "
-        f"(weights {tuple(_branch_weights(amps, grid))}); "
+        f"(weights {_branch_weights(amps, grid).tolist()}); "
         "pointer too slow for this budget"
     )
 
