@@ -4,8 +4,9 @@ Streams are counter-based (Philox 4x64).  Trajectory i of an ensemble with
 master seed s gets key s * 2^64 + i, so every stream is independent of
 execution order and thread count.  A stream tag t, for runs that need
 several ensembles under one seed, starts the counter at t * 2^192: tag 0 is
-the plain stream, and streams of different tags never meet.  Only uniform doubles are drawn from
-numpy; all variates are derived from them explicitly.
+the plain stream, and streams of different tags lie 2^192 blocks apart.
+Only uniform doubles are drawn from numpy; all variates are derived from
+them explicitly.
 """
 
 from __future__ import annotations
