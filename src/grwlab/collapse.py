@@ -14,12 +14,13 @@ periodic grid, so long random walks cannot fall off the edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ZeroSupportError
 from .qstate import Grid1D, WaveFunction, observables
-from .propagator import Potential, Stepper
+from .propagator import Potential, flight
 from .rngstream import exponential_variate
 from .units import DEFAULT_UNITS, UnitSystem
 
@@ -129,11 +130,19 @@ def hit_position_density(psi: WaveFunction, r_c: float) -> np.ndarray:
     return _density_convolution(psi.density(), psi.grid, r_c)
 
 
-def _density_convolution(rho: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
-    _check_kernel_resolved(grid, r_c)
+@lru_cache(maxsize=16)
+def _kernel_rfft(grid: Grid1D, r_c: float) -> np.ndarray:
+    """rfft of the density kernel on the grid, computed once per (grid, r_c)."""
     u = _min_image(grid.dx * np.arange(grid.n_points), grid.extent)
     kernel = np.exp(-(u**2) / r_c**2) / np.sqrt(np.pi * r_c**2)
-    p = np.fft.irfft(np.fft.rfft(rho) * np.fft.rfft(kernel), n=grid.n_points)
+    out = np.fft.rfft(kernel)
+    out.setflags(write=False)  # shared by every caller
+    return out
+
+
+def _density_convolution(rho: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
+    _check_kernel_resolved(grid, r_c)
+    p = np.fft.irfft(np.fft.rfft(rho) * _kernel_rfft(grid, r_c), n=grid.n_points)
     p *= grid.dx  # convolution quadrature weight
     return np.maximum(p, 0.0)
 
@@ -211,42 +220,45 @@ def step_count(t_total: float, dt: float) -> int:
     return int(round(t_total / dt))
 
 
-def hit_and_step(
-    amps: np.ndarray,
-    grid: Grid1D,
-    stepper: Stepper,
-    rate: float,
-    r_c: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    events: list[CollapseEvent] | None = None,
-):
-    """The GRW process on K branch rows: yields (b, amps) at b = 0..n_steps.
+def sample_times(dt: float, n_steps: int, every: int) -> list[float]:
+    """b * dt at every every-th step boundary b and at the last, n_steps."""
+    return [b * dt for b in range(0, n_steps, every)] + [n_steps * dt]
 
-    amps has shape (K, N); all rows share one hit sequence.  At each step
-    boundary b the hits snapped to b are applied first: the center is drawn
-    from the density summed over rows, L(a) multiplies every row, and the
-    rows are renormalized jointly.  Then (b, amps) is yielded, and unless b
-    is the last boundary all rows take one Schrodinger step of stepper.dt.
-    Hit times are snapped to the nearest step boundary; the exact waiting
-    times are kept when scheduling the following hit, so counts are unbiased.
-    Each hit is appended to events when a list is given.
+
+def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
+    """The GRW process on K branch rows: yields (t, amps, event) in time order.
+
+    evolution carries a (K, N) array of rows from t = 0 (propagator.flight);
+    all rows share one hit sequence.  Hits fall at the running sums of
+    exponential waiting times of mean 1/rate, up to t_end, each applied at
+    the time evolution.event_time gives it: exactly for free evolution, on
+    the nearest step boundary otherwise.  At a hit the center is drawn from
+    the density summed over rows, L(a) multiplies every row, the rows are
+    renormalized jointly and become the anchor of evolution, and
+    (t, amps, CollapseEvent) is yielded.  At each time in samples (ascending,
+    at most t_end) (t, amps, None) is yielded.  A sample only reads the
+    state, and a hit at the same time comes first.
     """
-    dt = stepper.dt
-    t_next = sample_next_hit_time(rate, rng)
-    next_step = None if t_next is None else int(round(t_next / dt))
-    for b in range(n_steps + 1):
-        while next_step == b:
+    grid = evolution.grid
+    t_wait = sample_next_hit_time(rate, rng)
+    samples = iter(samples)
+    t_sample = next(samples, None)
+    while True:
+        t_hit = None if t_wait is None else evolution.event_time(t_wait)
+        due = t_hit is not None and t_hit <= t_end
+        if due and (t_sample is None or t_hit <= t_sample):
+            amps = evolution.at(t_hit)
             p = _density_convolution(np.sum(np.abs(amps) ** 2, axis=0), grid, r_c)
             a = sample_hit_center(p, grid, rng)
             amps, weight = _localize(amps, grid, a, r_c)
-            if events is not None:
-                events.append(CollapseEvent(t=b * dt, center=a, branch_weight=weight))
-            t_next += exponential_variate(rng, rate)
-            next_step = int(round(t_next / dt))
-        yield b, amps
-        if b < n_steps:
-            amps = stepper.step(amps)
+            evolution.anchor(amps, t_hit)
+            t_wait += exponential_variate(rng, rate)
+            yield t_hit, amps, CollapseEvent(t=t_hit, center=a, branch_weight=weight)
+        elif t_sample is not None:
+            yield t_sample, evolution.at(t_sample), None
+            t_sample = next(samples, None)
+        else:
+            return
 
 
 def grw_trajectory(
@@ -260,26 +272,32 @@ def grw_trajectory(
     units: UnitSystem = DEFAULT_UNITS,
     seed: int = 0,
 ) -> TrajectoryRecord:
-    """One GRW trajectory (see hit_and_step), with observables sampled at
-    every sample_every-th step boundary and at the last one."""
+    """One GRW trajectory (see grw_process) over t_total, covered by steps of dt.
+
+    Observables are sampled at every sample_every-th step boundary and at
+    the last.  Free evolution between events is exact, so hits fall at their
+    exact Poisson times; other potentials take Strang steps of dt, with hits
+    on the nearest step boundary.
+    """
     n_steps = step_count(t_total, dt)
     if sample_every < 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every}")
     rate = params.total_rate_internal(units, psi0.mass)
-    stepper = Stepper(psi0.grid, v, dt, psi0.mass)
+    times = sample_times(dt, n_steps, sample_every)
+    evolution = flight(psi0.grid, v, dt, psi0.mass, psi0.amps[None])
 
     events: list[CollapseEvent] = []
-    sample_times: list[float] = []
     obs: list[dict[str, float]] = []
-    for b, amps in hit_and_step(psi0.amps[None], psi0.grid, stepper, rate,
-                                params.r_c, n_steps, rng, events):
-        if b % sample_every == 0 or b == n_steps:
-            sample_times.append(b * dt)
+    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
+    for _, amps, event in process:
+        if event is None:
             obs.append(observables(psi0.with_amps(amps[0]), v))
+        else:
+            events.append(event)
 
     return TrajectoryRecord(
         events=events,
-        sample_times=sample_times,
+        sample_times=times,
         observables_at_samples=obs,
         final_state=psi0.with_amps(amps[0]),
         seed=seed,

@@ -38,6 +38,8 @@ def _run_chunk(args):
 
 def map_trajectories(fn, cfg, n: int, master_seed: int, threads: int = 1) -> list:
     """Run fn over indices 0..n-1; ordered results, thread-count independent."""
+    if n < 1:
+        raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
     threads = resolve_threads(threads)
     if threads <= 1 or n <= 1:
         return [fn(cfg, master_seed, i) for i in range(n)]

@@ -15,13 +15,14 @@ import numpy as np
 from .collapse import (
     CollapseParams,
     effective_reduction_rate,
+    grw_process,
     grw_trajectory,
-    hit_and_step,
+    sample_times,
     step_count,
 )
 from .ensemble import map_trajectories
 from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
-from .propagator import Potential, Stepper
+from .propagator import Potential, flight
 from .qstate import Grid1D, WaveFunction, gaussian_packet, superpose
 from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS, UnitSystem
@@ -79,11 +80,19 @@ class MeasurementConfig:
             raise ConfigError(f"|c_up|^2 + |c_down|^2 = {w}, must be 1")
         if not (0 < self.decision_epsilon < 1):
             raise ConfigError("decision_epsilon must be in (0, 1)")
+        _require_positive(self, "hits_budget", "hit_resolution")
         if self.pointer_separation <= 4.0 * self.pointer_sigma:
             raise ConfigError(
                 "pointer_separation must exceed 4 * pointer_sigma "
                 f"({self.pointer_separation} <= {4 * self.pointer_sigma})"
             )
+
+
+def _require_positive(cfg, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 def _initial_hybrid(cfg: MeasurementConfig) -> tuple[Grid1D, np.ndarray]:
@@ -111,6 +120,8 @@ def born_trial(
 
     Hits are applied jointly: the center is drawn from the branch-weighted
     total position density and L(a) multiplies both branch wavefunctions.
+    Free evolution keeps each branch's weight, so the weights are checked at
+    t = 0 and after each hit, up to hits_budget / rate.
     """
     grid, amps = _initial_hybrid(cfg)
     rate = params.total_rate_internal(units)
@@ -118,9 +129,8 @@ def born_trial(
         raise ConfigError("born_trial needs a positive total collapse rate")
     dt = cfg.hit_resolution / rate
     n_max = int(round(cfg.hits_budget / cfg.hit_resolution))
-    stepper = Stepper(grid, Potential.free(), dt, cfg.pointer_n_nucleons)
-
-    for _, amps in hit_and_step(amps, grid, stepper, rate, params.r_c, n_max, rng):
+    evolution = flight(grid, Potential.free(), dt, cfg.pointer_n_nucleons, amps)
+    for _, amps, _ in grw_process(evolution, rate, params.r_c, n_max * dt, [0.0], rng):
         w_up, w_down = _branch_weights(amps, grid)
         if w_down < cfg.decision_epsilon:
             return "up"
@@ -186,15 +196,19 @@ class DecoherenceConfig:
     n_efoldings: float = 2.0
     n_samples: int = 16
 
+    def __post_init__(self):
+        _require_positive(self, "hit_resolution", "n_efoldings", "n_samples")
 
-def _decoherence_grid(cfg: DecoherenceConfig, params, d, units) -> tuple[float, int, int]:
-    """(dt, n_steps, sample_every) of a run over n_efoldings of Gamma(d)."""
+
+def _decoherence_grid(cfg: DecoherenceConfig, params, d, units):
+    """(dt, sample times) of a run over n_efoldings of Gamma(d): steps of dt,
+    sampled every (steps // n_samples)-th step and at the last."""
     rate = params.total_rate_internal(units)
     gamma = units.rate_to_internal(effective_reduction_rate(d, params))
     t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
     dt = cfg.hit_resolution / rate
     n_steps = max(1, int(round(t_total / dt)))
-    return dt, n_steps, max(1, n_steps // cfg.n_samples)
+    return dt, sample_times(dt, n_steps, max(1, n_steps // cfg.n_samples))
 
 
 def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
@@ -208,14 +222,14 @@ def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
 
     rate = params.total_rate_internal(units)
-    dt, n_steps, sample_every = _decoherence_grid(cfg, params, d, units)
-    stepper = Stepper(grid, Potential.free(), dt, cfg.mass)
+    dt, times = _decoherence_grid(cfg, params, d, units)
+    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
     out = []
-    for b, amps in hit_and_step(psi.amps[None], grid, stepper, rate, params.r_c,
-                                n_steps, rng):
-        if b % sample_every == 0 or b == n_steps:
-            psi_b = psi.with_amps(amps[0])
-            out.append(phi_l.overlap(psi_b) * np.conj(phi_r.overlap(psi_b)))
+    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
+    for _, amps, event in process:
+        if event is None:
+            psi_t = psi.with_amps(amps[0])
+            out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
     return np.asarray(out, dtype=np.complex128)
 
 
@@ -235,9 +249,7 @@ def decoherence_scan(
         traces = map_trajectories(
             _coherence_samples, job, ensemble_size, master_seed, threads
         )
-        dt, n_steps, sample_every = _decoherence_grid(cfg, params, d, units)
-        t = np.array([b * dt for b in range(n_steps + 1)
-                      if b % sample_every == 0 or b == n_steps])
+        t = np.array(_decoherence_grid(cfg, params, d, units)[1])
         mean_c = np.abs(np.mean(np.stack(traces), axis=0))
         gamma_analytic = units.rate_to_internal(effective_reduction_rate(d, params))
         if gamma_analytic > 0:
@@ -306,6 +318,9 @@ class VisibilityConfig:
     n_batches: int = 10
     n_fringes: float = 5.0
 
+    def __post_init__(self):
+        _require_positive(self, "hit_resolution")
+
 
 def momentum_screen(psi: WaveFunction, pad: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Far-field intensity: (p axis, |psi(p)|^2), both in ascending p order.
@@ -329,10 +344,9 @@ def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
     psi0 = superpose(left, right, 1.0, 1.0)
     rate = params.total_rate_internal(units, cfg.mass)
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
-    n_steps = step_count(t_flight, dt)
-    stepper = Stepper(grid, Potential.free(), dt, cfg.mass)
-    for _, amps in hit_and_step(psi0.amps[None], grid, stepper, rate, params.r_c,
-                                n_steps, rng):
+    t_end = step_count(t_flight, dt) * dt
+    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi0.amps[None])
+    for _, amps, _ in grw_process(evolution, rate, params.r_c, t_end, [t_end], rng):
         pass
     return momentum_screen(psi0.with_amps(amps[0]))[1]
 
@@ -456,6 +470,9 @@ class HeatingConfig:
     grid_extent: float = 128.0
     dt: float = 0.025
     sample_every: int = 10
+
+    def __post_init__(self):
+        _require_positive(self, "dt")
 
 
 def _heating_worker(job, master_seed: int, index: int):

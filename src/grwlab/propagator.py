@@ -1,8 +1,10 @@
-"""Deterministic Schrodinger evolution via symmetric split-step (Strang).
+"""Deterministic Schrodinger evolution.
 
-One step is kick(dt/2) -> drift(dt) -> kick(dt/2), where the kick applies
-exp(-i V dt/2) in position space and the drift exp(-i k^2 dt / 2m) in
-momentum space.  Second order in dt; exactly unitary up to FFT round-off.
+With no potential, evolution is diagonal in momentum space: the drift
+exp(-i k^2 tau / 2m) carries a state over any time tau exactly, in one pair
+of FFTs.  Otherwise states take symmetric split-step (Strang) steps,
+kick(dt/2) -> drift(dt) -> kick(dt/2), where the kick applies exp(-i V dt/2)
+in position space.  Second order in dt; exactly unitary up to FFT round-off.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ def _check_guards(grid: Grid1D, v: np.ndarray, dt: float, mass: float) -> None:
         )
 
 
+def drift_phase(grid: Grid1D, tau: float, mass: float) -> np.ndarray:
+    """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau."""
+    return np.exp(-0.5j * tau * grid.k**2 / mass)
+
+
 class Stepper:
     """Precomputed Strang-step factors for a fixed (grid, potential, dt, mass).
 
@@ -89,7 +96,7 @@ class Stepper:
         self.grid = grid
         self.dt = dt
         self.half_kick = np.exp(-0.5j * dt * v_arr)
-        self.drift = np.exp(-0.5j * dt * grid.k**2 / mass)
+        self.drift = drift_phase(grid, dt, mass)
 
     def step(self, amps: np.ndarray) -> np.ndarray:
         amps = self.half_kick * amps
@@ -97,19 +104,94 @@ class Stepper:
         return self.half_kick * amps
 
 
+class FreeFlight:
+    """Exact free evolution of an array of rows from an anchor state.
+
+    Rows anchored at time t_a (first at t = 0) reach any time t in one
+    k-space drift, ifft(drift_phase(t - t_a) * fft(rows)).  The anchor's
+    transform is taken when first needed and reused until the next anchor,
+    so reading the state at several times costs one inverse FFT each.
+    """
+
+    def __init__(self, grid: Grid1D, mass: float, amps: np.ndarray):
+        self.grid = grid
+        self.mass = mass
+        self.anchor(amps, 0.0)
+
+    def anchor(self, amps: np.ndarray, t: float) -> None:
+        self.amps, self.t, self._phi = amps, t, None
+
+    def event_time(self, t: float) -> float:
+        """The time at which an event due at t is applied: t itself."""
+        return t
+
+    def at(self, t: float) -> np.ndarray:
+        if t == self.t:
+            return self.amps
+        if self._phi is None:
+            self._phi = np.fft.fft(self.amps)
+        return np.fft.ifft(drift_phase(self.grid, t - self.t, self.mass) * self._phi)
+
+
+class SteppedFlight:
+    """Strang steps of stepper.dt; the state exists at step boundaries only.
+
+    Reading the state at a later time steps the current rows forward, which
+    gives the same bits as stepping from the last anchor.
+    """
+
+    def __init__(self, stepper: Stepper, amps: np.ndarray):
+        self.stepper = stepper
+        self.grid = stepper.grid
+        self.anchor(amps, 0.0)
+
+    def _boundary(self, t: float) -> int:
+        return int(round(t / self.stepper.dt))
+
+    def anchor(self, amps: np.ndarray, t: float) -> None:
+        self.amps, self.b = amps, self._boundary(t)
+
+    def event_time(self, t: float) -> float:
+        """The time at which an event due at t is applied: the nearest boundary."""
+        return self._boundary(t) * self.stepper.dt
+
+    def at(self, t: float) -> np.ndarray:
+        b = self._boundary(t)
+        if b < self.b:
+            raise DomainError(f"cannot step back from boundary {self.b} to {b}")
+        for _ in range(b - self.b):
+            self.amps = self.stepper.step(self.amps)
+        self.b = b
+        return self.amps
+
+
+def flight(
+    grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray
+) -> FreeFlight | SteppedFlight:
+    """The evolution of rows amps from t = 0 under v.
+
+    Free evolution is exact (FreeFlight); any other potential takes Strang
+    steps of dt (SteppedFlight).  Both check dt against the step guards.
+    """
+    if v.kind is PotentialKind.FREE:
+        _check_guards(grid, v.values(grid, mass), dt, mass)
+        return FreeFlight(grid, mass, amps)
+    return SteppedFlight(Stepper(grid, v, dt, mass), amps)
+
+
 def split_step(
     psi: WaveFunction, v: Potential, dt: float, n_steps: int
 ) -> WaveFunction:
-    """Evolve psi by n_steps Strang steps of size dt (dt may be negative)."""
+    """Evolve psi over n_steps * dt (dt may be negative).
+
+    Takes n_steps Strang steps of dt, except for the free potential, whose
+    evolution is one exact drift over n_steps * dt.
+    """
     if n_steps < 0:
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     if n_steps == 0:
         return psi
-    stepper = Stepper(psi.grid, v, dt, psi.mass)
-    amps = psi.amps
-    for _ in range(n_steps):
-        amps = stepper.step(amps)
-    return psi.with_amps(amps)
+    return psi.with_amps(flight(psi.grid, v, dt, psi.mass, psi.amps).at(n_steps * dt))
 
 
 def spread_analytic(sigma0: float, mass: float, t: float) -> float:

@@ -179,3 +179,26 @@ def test_cli_import_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decohere", "--n-samples", "0"],
+    ["decohere", "--n-efoldings", "0"],
+    ["decohere", "--hit-resolution", "0"],
+    ["born", "--hit-resolution", "0"],
+    ["born", "--hits-budget", "0"],
+    ["visibility", "--hit-resolution", "-1"],
+    ["heating", "--dt-internal", "0", "--lambda-internal", "4"],
+])
+def test_config_values_that_divide_by_zero_are_exit_one(tmp_path, argv):
+    assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["born"],
+    ["decohere"],
+    ["visibility"],
+    ["heating", "--lambda-internal", "4"],
+])
+def test_empty_ensembles_are_exit_one(tmp_path, argv):
+    assert run(argv + ["--n-traj", "0", "--out", str(tmp_path / "x")]) == 1

@@ -7,15 +7,15 @@ from grwlab.collapse import (
     CollapseParams,
     apply_hit,
     effective_reduction_rate,
+    grw_process,
     grw_trajectory,
-    hit_and_step,
     hit_position_density,
     localization_amplitude,
     sample_hit_center,
     sample_next_hit_time,
 )
 from grwlab.errors import DomainError, GridMismatchError
-from grwlab.propagator import Potential, Stepper, split_step
+from grwlab.propagator import Potential, flight, split_step
 from grwlab.qstate import Grid1D, WaveFunction, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
 from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
@@ -227,7 +227,7 @@ def test_hits_across_periodic_seam_stay_on_grid():
         apply_hit(psi, a, 1.0)
 
 
-def test_hit_and_step_identical_rows_follow_one_state():
+def test_grw_process_identical_rows_follow_one_state():
     # two equal branch rows carry the same density as the state they split,
     # so they draw the same hits and each row stays that state / sqrt(2)
     psi = superpose(
@@ -235,15 +235,15 @@ def test_hit_and_step_identical_rows_follow_one_state():
         gaussian_packet(GRID, +6.0, 0.0, 1.0, 50.0),
         1.0, 1.0,
     )
-    stepper = Stepper(GRID, Potential.free(), 0.01, 50.0)
+    times = [b * 0.01 for b in range(201)]
     runs = []
     for rows in (psi.amps[None], np.stack([psi.amps, psi.amps]) / np.sqrt(2.0)):
-        events = []
-        states = [amps for _, amps in hit_and_step(
-            rows, GRID, stepper, 4.0, 1.0, 200, trajectory_rng(8, 0), events)]
-        runs.append((events, states))
+        evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows)
+        out = list(grw_process(evolution, 4.0, 1.0, 2.0, times, trajectory_rng(8, 0)))
+        runs.append(([e for _, _, e in out if e is not None], [a for _, a, _ in out]))
     (ev1, one), (ev2, two) = runs
     assert len(ev1) > 2
+    assert len(one) == len(two) == len(times) + len(ev1)
     np.testing.assert_allclose([e.center for e in ev2], [e.center for e in ev1],
                                rtol=0, atol=1e-12)
     for a, b in zip(one, two):
@@ -259,3 +259,55 @@ def test_stream_tags_give_distinct_streams():
     assert not np.array_equal(tagged[0], tagged[1])
     with pytest.raises(DomainError):
         trajectory_rng(5, 2, stream=-1)
+
+
+def test_cached_density_kernel_matches_fresh_computation():
+    psi = gaussian_packet(GRID, -3.0, 1.0, 2.0, 1.0)
+    r_c = 1.3
+    u = (GRID.dx * np.arange(GRID.n_points) + 0.5 * GRID.extent) % GRID.extent \
+        - 0.5 * GRID.extent
+    kernel = np.exp(-(u**2) / r_c**2) / np.sqrt(np.pi * r_c**2)
+    fresh = np.fft.irfft(np.fft.rfft(psi.density()) * np.fft.rfft(kernel),
+                         n=GRID.n_points)
+    fresh = np.maximum(fresh * GRID.dx, 0.0)
+    for _ in range(2):  # the second call reads the cache
+        assert hit_position_density(psi, r_c).tobytes() == fresh.tobytes()
+
+
+def _hit_trajectory(index, t_total=5.0):
+    psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 200.0)
+    params = _params(4.0, 1.0)
+    rec = grw_trajectory(psi, Potential.free(), params, t_total, 0.004, 10**9,
+                         trajectory_rng(17, index), seed=17)
+    return rec, params.total_rate_internal(DEFAULT_UNITS, psi.mass)
+
+
+def test_hit_times_are_exact_running_sums_of_waiting_times():
+    rec, rate = _hit_trajectory(0)
+    assert rec.n_hits() > 5
+    # the stream alternates one uniform per waiting time and one per center
+    replay = trajectory_rng(17, 0)
+    t, expected = 0.0, []
+    for _ in rec.events:
+        t += -np.log1p(-replay.random()) / rate
+        expected.append(t)
+        replay.random()
+    assert [e.t for e in rec.events] == expected
+    # unsnapped: hits do not sit on the step grid of dt = 0.004
+    assert not any(float(e.t / 0.004).is_integer() for e in rec.events)
+
+
+def test_waiting_times_pass_ks_test():
+    # the first 5 waiting times of each trajectory: about 20 hits are
+    # expected in t_total, so fewer than 6 occur with probability ~1e-4
+    waits = []
+    for i in range(200):
+        rec, rate = _hit_trajectory(i)
+        waits.extend(np.diff([0.0] + [e.t for e in rec.events[:5]]))
+    x = np.sort(np.asarray(waits))
+    assert len(x) == 1000
+    cdf = -np.expm1(-rate * x)
+    n = len(x)
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    # Kolmogorov distribution: P(sqrt(n) D > 1.95) = 0.001
+    assert np.sqrt(n) * d < 1.95

@@ -4,7 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grwlab.errors import DomainError, StepSizeError
-from grwlab.propagator import Potential, Stepper, split_step, spread_analytic
+from grwlab.propagator import (
+    FreeFlight,
+    Potential,
+    Stepper,
+    drift_phase,
+    split_step,
+    spread_analytic,
+)
 from grwlab.qstate import Grid1D, gaussian_packet, observables
 
 GRID = Grid1D.centered(512, 64.0)
@@ -78,19 +85,55 @@ def test_zero_steps_is_identity():
 
 
 def test_stepper_matches_split_step():
+    # split_step still steps when there is a potential
+    psi = gaussian_packet(HGRID, 0.0, 1.0, sigma=1.0, mass=1.0)
+    v = Potential.harmonic(1.0)
+    stepper = Stepper(HGRID, v, 0.004, 1.0)
+    amps = psi.amps
+    for _ in range(50):
+        amps = stepper.step(amps)
+    out = split_step(psi, v, dt=0.004, n_steps=50)
+    np.testing.assert_array_equal(amps, out.amps)
+
+
+def test_free_split_step_is_one_exact_drift():
     psi = gaussian_packet(GRID, 0.0, 1.0, sigma=1.0, mass=1.0)
+    out = split_step(psi, Potential.free(), dt=0.004, n_steps=50)
+    drift = np.fft.ifft(drift_phase(GRID, 50 * 0.004, 1.0) * np.fft.fft(psi.amps))
+    assert out.amps.tobytes() == drift.tobytes()
+    # free Strang steps are exact too, up to round-off
     stepper = Stepper(GRID, Potential.free(), 0.004, 1.0)
     amps = psi.amps
     for _ in range(50):
         amps = stepper.step(amps)
-    out = split_step(psi, Potential.free(), dt=0.004, n_steps=50)
-    np.testing.assert_array_equal(amps, out.amps)
+    np.testing.assert_allclose(out.amps, amps, rtol=0, atol=1e-12)
+
+
+def test_free_flight_matches_free_steps_across_hits():
+    # the same hits (times on the step grid, fixed centers) applied between
+    # exact drifts and between free Strang steps give the same state
+    dt, mass, r_c = 0.01, 5.0, 1.0
+    psi = gaussian_packet(GRID, -2.0, 0.5, sigma=2.0, mass=mass)
+    hits = [(37, -1.0), (38, 0.5), (140, 2.0), (300, -0.5)]
+    stepper = Stepper(GRID, Potential.free(), dt, mass)
+    stepped, flight, b = psi.amps, FreeFlight(GRID, mass, psi.amps), 0
+    for b_hit, a in hits:
+        for _ in range(b_hit - b):
+            stepped = stepper.step(stepped)
+        b = b_hit
+        g = np.exp(-((GRID.x - a) ** 2) / (2 * r_c**2))
+        stepped = g * stepped / np.sqrt(np.sum(np.abs(g * stepped) ** 2) * GRID.dx)
+        exact = g * flight.at(b_hit * dt)
+        flight.anchor(exact / np.sqrt(np.sum(np.abs(exact) ** 2) * GRID.dx), b_hit * dt)
+    for _ in range(400 - b):
+        stepped = stepper.step(stepped)
+    np.testing.assert_allclose(flight.at(400 * dt), stepped, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_stepper_rows_match_single_steps_bitwise(n):
-    # hit_and_step steps all branch rows in one call; each row must come out
-    # exactly as if stepped alone, or multi-branch runs would lose their bytes
+    # grw_process evolves all branch rows in one call; each row must come out
+    # exactly as if evolved alone, or multi-branch runs would lose their bytes
     grid = Grid1D.centered(n, 64.0)
     rows = np.stack([
         gaussian_packet(grid, -8.0, 1.0, 1.0, 3.0).amps,
