@@ -319,7 +319,7 @@ class VisibilityConfig:
     n_fringes: float = 5.0
 
     def __post_init__(self):
-        _require_positive(self, "hit_resolution")
+        _require_positive(self, "hit_resolution", "n_batches")
 
 
 def momentum_screen(psi: WaveFunction, pad: int = 8) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +472,7 @@ class HeatingConfig:
     sample_every: int = 10
 
     def __post_init__(self):
-        _require_positive(self, "dt")
+        _require_positive(self, "dt", "sample_every")
 
 
 def _heating_worker(job, master_seed: int, index: int):

@@ -188,9 +188,11 @@ def test_cli_import_does_not_load_scipy():
     ["born", "--hit-resolution", "0"],
     ["born", "--hits-budget", "0"],
     ["visibility", "--hit-resolution", "-1"],
+    ["visibility", "--n-batches", "0", "--lambda-internal", "1", "--rc-internal", "4"],
     ["heating", "--dt-internal", "0", "--lambda-internal", "4"],
+    ["heating", "--sample-every", "0", "--lambda-internal", "4"],
 ])
-def test_config_values_that_divide_by_zero_are_exit_one(tmp_path, argv):
+def test_nonpositive_config_values_are_exit_one(tmp_path, argv):
     assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
 
 
