@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, config files, run manifests, file I/O.
 
-Config files are INI-style with one section per subcommand; CLI flags
-mirror the config keys and override file values.  Every physical input
-carries its unit in the key suffix (`_si`, `_m`, `_s`, `_internal`);
-giving the same quantity in two units is rejected.
+A subcommand's keys are the fields of its config dataclass plus the extras
+listed with it in INPUTS (the collapse constants, the wave packet, the
+ensemble size, ...); flags, config-file validation and the handlers all
+read that one table, so each default is stated once.  Config files are
+INI-style with one section per subcommand; CLI flags mirror the config keys
+and override file values.  Every physical input carries its unit in the key
+suffix (`_si`, `_m`, `_s`, `_internal`); giving the same quantity in two
+units is rejected.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import configparser
 import json
 import sys
 import time
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +28,14 @@ from . import __version__
 from .collapse import CollapseParams, grw_trajectory
 from .ensemble import resolve_threads
 from .errors import BoundsParseError, ConfigError, GrwError
-from .exclusion import allowed_region, default_bounds_path, load_bounds
+from .exclusion import (
+    DEFAULT_LAMBDA_RANGE,
+    DEFAULT_RC_RANGE,
+    DEFAULT_RESOLUTION,
+    allowed_region,
+    default_bounds_path,
+    load_bounds,
+)
 from .experiments import (
     DecoherenceConfig,
     HeatingConfig,
@@ -69,127 +82,142 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Inputs: one table per subcommand
 # ---------------------------------------------------------------------------
 
-# config keys per subcommand; CLI flags are the same names with dashes
-KEYS: dict[str, list[str]] = {
-    "evolve": [
-        "grid_n", "grid_extent", "x0", "p0", "sigma0", "mass", "potential",
-        "omega", "t_total_internal", "t_total_s", "dt_internal", "sample_every",
-    ],
-    "trajectory": [
-        "grid_n", "grid_extent", "x0", "p0", "sigma0", "mass", "potential",
-        "omega", "t_total_internal", "t_total_s", "dt_internal", "sample_every",
-        "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
-        "mass_scaling",
-    ],
-    "born": [
-        "c_up2", "n_traj", "lambda_si", "lambda_internal", "rc_internal",
-        "rc_m", "pointer_n_nucleons", "pointer_separation", "pointer_sigma",
-        "decision_epsilon", "grid_n", "grid_extent", "hits_budget",
-        "hit_resolution",
-    ],
+@dataclass(frozen=True)
+class Unit:
+    """A quantity given as exactly one of its `<key>_<suffix>` keys; each
+    suffix's converter maps the value to the unit of `default`."""
+
+    default: float
+    converters: dict[str, Callable[[float], float]]
+
+
+def _same(value: float) -> float:
+    return value
+
+
+RATE_SI = {"si": _same, "internal": DEFAULT_UNITS.rate_to_si}
+LENGTH_INTERNAL = {"m": DEFAULT_UNITS.length_to_internal, "internal": _same}
+TIME_INTERNAL = {"s": DEFAULT_UNITS.time_to_internal, "internal": _same}
+
+# the two GRW constants: lambda in s^-1, r_c in internal lengths
+GRW = {"lambda": Unit(1e-16, RATE_SI), "rc": Unit(1.0, LENGTH_INTERNAL)}
+COLLAPSE = {**GRW, "n_nucleons": CollapseParams.n_nucleons}
+PACKET = {
+    "grid_n": 512, "grid_extent": 64.0, "x0": 0.0, "p0": 0.0, "sigma0": 2.0,
+    "mass": 1.0, "potential": "free", "omega": 1.0,
+    "t_total": Unit(4.0, TIME_INTERNAL), "dt_internal": 0.005, "sample_every": 10,
+}
+
+# Sources of each subcommand's keys: a config dataclass, whose fields with a
+# default are keys parsed by that default's type, or a dict of key -> default.
+# A Unit default expands to one key per unit; a type in place of a default
+# marks an optional key, None when absent.
+INPUTS: dict[str, list] = {
+    "evolve": [PACKET],
+    "trajectory": [PACKET, COLLAPSE, {"mass_scaling": CollapseParams.mass_scaling}],
+    "born": [{"c_up2": 0.5, "n_traj": 1000}, GRW, MeasurementConfig],
     "decohere": [
-        "separations_over_rc", "lambda_si", "lambda_internal", "rc_internal",
-        "rc_m", "n_nucleons", "n_traj", "packet_sigma_over_rc", "mass",
-        "grid_n", "grid_extent", "hit_resolution", "n_efoldings", "n_samples",
+        {"separations_over_rc": (0.5, 2.0, 10.0)}, COLLAPSE, {"n_traj": 300},
+        DecoherenceConfig,
     ],
     "visibility": [
-        "d_internal", "lambda_si", "lambda_internal", "rc_internal", "rc_m",
-        "n_nucleons", "t_flight_internal", "t_flight_s", "n_traj", "sigma0",
-        "mass", "grid_n", "grid_extent", "hit_resolution", "n_batches",
-        "n_fringes",
+        {"d_internal": 64.0}, COLLAPSE,
+        {"t_flight": Unit(1.0, TIME_INTERNAL), "n_traj": 400}, VisibilityConfig,
     ],
     "heating": [
-        "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
-        "t_total_internal", "t_total_s", "n_traj", "sigma0", "mass", "grid_n",
-        "grid_extent", "dt_internal", "sample_every",
+        COLLAPSE, {"t_total": Unit(5.0, TIME_INTERNAL), "n_traj": 1000}, HeatingConfig,
     ],
-    "exclusion": [
-        "bounds", "log_lambda_min", "log_lambda_max", "log_rc_min",
-        "log_rc_max", "n_lambda", "n_rc",
-    ],
-    "rates": ["n", "lambda_si", "table"],
-    "snapshot": ["input", "csv"],
+    "exclusion": [{
+        "bounds": "default",
+        "log_lambda_min": DEFAULT_LAMBDA_RANGE[0],
+        "log_lambda_max": DEFAULT_LAMBDA_RANGE[1],
+        "log_rc_min": DEFAULT_RC_RANGE[0],
+        "log_rc_max": DEFAULT_RC_RANGE[1],
+        "n_lambda": DEFAULT_RESOLUTION[0],
+        "n_rc": DEFAULT_RESOLUTION[1],
+    }],
+    "rates": [{"n": float, "lambda_si": GRW["lambda"].default, "table": False}],
+    "snapshot": [{"input": str, "csv": str}],
 }
+
+
+def _defaults(cls) -> dict:
+    """The inputs of a config dataclass: its fields that have a default."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def inputs(subcommand: str) -> dict:
+    """key -> default (a value, a Unit, or the type of an optional key)."""
+    table = {}
+    for source in INPUTS[subcommand]:
+        table.update(source if isinstance(source, dict) else _defaults(source))
+    return table
+
+
+def config_keys(subcommand: str) -> list[str]:
+    """The keys a config file or the flags may give; a Unit gives one per unit."""
+    keys = []
+    for key, default in inputs(subcommand).items():
+        if isinstance(default, Unit):
+            keys += [f"{key}_{suffix}" for suffix in default.converters]
+        else:
+            keys.append(key)
+    return keys
+
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-class Settings:
-    """Merged string-valued config: file section overridden by CLI flags."""
-
-    def __init__(self, values: dict[str, str]):
-        self.values = values
-
-    def get(self, key: str, default=None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key}: {raw!r}") from exc
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(float(raw)) if "e" in raw or "." in raw else int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer value for {key}: {raw!r}") from exc
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"bad boolean value for {key}: {raw!r}")
-
-    def _pick_unit(self, base: str, suffixes: list[str]) -> tuple[str, float] | None:
-        present = [s for s in suffixes if f"{base}_{s}" in self.values]
-        if len(present) > 1:
-            keys = ", ".join(f"{base}_{s}" for s in present)
-            raise ConfigError(f"mixed units for {base}: give only one of {keys}")
-        if not present:
-            return None
-        s = present[0]
-        return s, self.get_float(f"{base}_{s}", 0.0)
-
-    def rate_si(self, base: str, default_si: float) -> float:
-        """A rate quantity, returned in s^-1."""
-        pick = self._pick_unit(base, ["si", "internal"])
-        if pick is None:
-            return default_si
-        suffix, v = pick
-        return v if suffix == "si" else DEFAULT_UNITS.rate_to_si(v)
-
-    def length_internal(self, base: str, default_internal: float) -> float:
-        pick = self._pick_unit(base, ["m", "internal"])
-        if pick is None:
-            return default_internal
-        suffix, v = pick
-        return DEFAULT_UNITS.length_to_internal(v) if suffix == "m" else v
-
-    def time_internal(self, base: str, default_internal: float) -> float:
-        pick = self._pick_unit(base, ["s", "internal"])
-        if pick is None:
-            return default_internal
-        suffix, v = pick
-        return DEFAULT_UNITS.time_to_internal(v) if suffix == "s" else v
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)  # 1e4-style integers
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
-def load_settings(subcommand: str, args: argparse.Namespace) -> Settings:
+def _boolean(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(raw)
+
+
+def _numbers(raw: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+PARSERS = {
+    float: (float, "a number"),
+    int: (_integer, "an integer"),
+    bool: (_boolean, "a boolean (1/0, true/false, yes/no, on/off)"),
+    tuple: (_numbers, "a non-empty comma-separated list of numbers"),
+    str: (str, "a string"),
+}
+
+
+def _parse(key: str, kind: type, raw: str):
+    parse, what = PARSERS[kind]
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from exc
+
+
+def load_settings(subcommand: str, args: argparse.Namespace) -> dict[str, str]:
+    """Raw config strings: the file's section, overridden by CLI flags."""
+    keys = config_keys(subcommand)
     merged: dict[str, str] = {}
     if args.config is not None:
         parser = configparser.ConfigParser()
@@ -198,58 +226,75 @@ def load_settings(subcommand: str, args: argparse.Namespace) -> Settings:
             raise ConfigError(f"config file not found: {args.config}")
         if parser.has_section(subcommand):
             for key, value in parser.items(subcommand):
-                if key not in KEYS[subcommand]:
+                if key not in keys:
                     raise ConfigError(
                         f"unknown key {key!r} in [{subcommand}] of {args.config}"
                     )
                 merged[key] = value
-    for key in KEYS[subcommand]:
+    for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    return Settings(merged)
+    return merged
 
 
-def _collapse_params(s: Settings, n_nucleons_key: str = "n_nucleons") -> CollapseParams:
-    return CollapseParams(
-        lambda_si=s.rate_si("lambda", 1e-16),
-        r_c=s.length_internal("rc", 1.0),
-        n_nucleons=s.get_float(n_nucleons_key, 1.0),
-        mass_scaling=s.get_bool("mass_scaling", False),
-    )
+def resolve(subcommand: str, raw: dict[str, str]) -> dict:
+    """Every input of a subcommand as a typed value, a Unit in its default's
+    unit; an absent key takes its default, an absent optional key None."""
+    values = {}
+    for key, default in inputs(subcommand).items():
+        if isinstance(default, Unit):
+            given = [s for s in default.converters if f"{key}_{s}" in raw]
+            if len(given) > 1:
+                keys = ", ".join(f"{key}_{s}" for s in given)
+                raise ConfigError(f"mixed units for {key}: give only one of {keys}")
+            values[key] = default.default
+            for s in given:
+                value = _parse(f"{key}_{s}", float, raw[f"{key}_{s}"])
+                values[key] = default.converters[s](value)
+        elif key in raw:
+            kind = default if isinstance(default, type) else type(default)
+            values[key] = _parse(key, kind, raw[key])
+        else:
+            values[key] = None if isinstance(default, type) else default
+    return values
+
+
+def _config(cls, v: dict, **given):
+    """A config dataclass from the resolved values of its inputs."""
+    return cls(**{name: v[name] for name in _defaults(cls)}, **given)
+
+
+def _collapse_params(v: dict) -> CollapseParams:
+    extra = {k: v[k] for k in ("n_nucleons", "mass_scaling") if k in v}
+    return CollapseParams(v["lambda"], v["rc"], **extra)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns a list of files written into outdir
 # ---------------------------------------------------------------------------
 
-def _packet_and_potential(s: Settings):
-    grid = Grid1D.centered(s.get_int("grid_n", 512), s.get_float("grid_extent", 64.0))
-    psi0 = gaussian_packet(
-        grid,
-        s.get_float("x0", 0.0),
-        s.get_float("p0", 0.0),
-        s.get_float("sigma0", 2.0),
-        s.get_float("mass", 1.0),
-    )
-    kind = s.get("potential", "free")
+def _packet_and_potential(v: dict):
+    grid = Grid1D.centered(v["grid_n"], v["grid_extent"])
+    psi0 = gaussian_packet(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
+    kind = v["potential"]
     if kind == "free":
-        v = Potential.free()
+        pot = Potential.free()
     elif kind == "harmonic":
-        v = Potential.harmonic(s.get_float("omega", 1.0))
+        pot = Potential.harmonic(v["omega"])
     else:
         raise ConfigError(f"unknown potential {kind!r} (free|harmonic)")
-    return psi0, v
+    return psi0, pot
 
 
-def _run_single(s: Settings, params: CollapseParams, seed: int, outdir: Path,
+def _run_single(v: dict, params: CollapseParams, seed: int, outdir: Path,
                 write_record: bool) -> list[str]:
-    psi0, v = _packet_and_potential(s)
-    t_total = s.time_internal("t_total", 4.0)
-    dt = s.get_float("dt_internal", 0.005)
-    sample_every = s.get_int("sample_every", 10)
+    for key in ("t_total", "dt_internal", "sample_every"):
+        if not v[key] > 0:
+            raise ConfigError(f"{key} must be > 0, got {v[key]}")
+    psi0, pot = _packet_and_potential(v)
     rec = grw_trajectory(
-        psi0, v, params, t_total, dt, sample_every,
+        psi0, pot, params, v["t_total"], v["dt_internal"], v["sample_every"],
         trajectory_rng(seed, 0), seed=seed,
     )
     outputs = []
@@ -274,37 +319,22 @@ def _run_single(s: Settings, params: CollapseParams, seed: int, outdir: Path,
     return outputs
 
 
-def cmd_evolve(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    params = CollapseParams(0.0, 1.0)
-    return _run_single(s, params, seed, outdir, write_record=False)
+def cmd_evolve(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    params = CollapseParams(0.0, GRW["rc"].default)  # no hits, so r_c is unused
+    return _run_single(v, params, seed, outdir, write_record=False)
 
 
-def cmd_trajectory(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    return _run_single(s, _collapse_params(s), seed, outdir, write_record=True)
+def cmd_trajectory(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    return _run_single(v, _collapse_params(v), seed, outdir, write_record=True)
 
 
-def cmd_born(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    p_up = s.get_float("c_up2", 0.5)
+def cmd_born(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    p_up = v["c_up2"]
     if not 0.0 <= p_up <= 1.0:
         raise ConfigError(f"c_up2 must be in [0, 1], got {p_up}")
-    cfg = MeasurementConfig(
-        c_up=np.sqrt(p_up),
-        c_down=np.sqrt(1.0 - p_up),
-        pointer_n_nucleons=s.get_float("pointer_n_nucleons", 1e8),
-        pointer_separation=s.get_float("pointer_separation", 16.0),
-        pointer_sigma=s.get_float("pointer_sigma", 1.0),
-        decision_epsilon=s.get_float("decision_epsilon", 1e-6),
-        grid_n=s.get_int("grid_n", 1024),
-        grid_extent=s.get_float("grid_extent", 48.0),
-        hits_budget=s.get_float("hits_budget", 20.0),
-        hit_resolution=s.get_float("hit_resolution", 0.1),
-    )
-    params = CollapseParams(
-        lambda_si=s.rate_si("lambda", 1e-16),
-        r_c=s.length_internal("rc", 1.0),
-        n_nucleons=cfg.pointer_n_nucleons,
-    )
-    report = born_ensemble(cfg, params, s.get_int("n_traj", 1000), seed, threads)
+    cfg = _config(MeasurementConfig, v, c_up=np.sqrt(p_up), c_down=np.sqrt(1.0 - p_up))
+    params = CollapseParams(v["lambda"], v["rc"], cfg.pointer_n_nucleons)
+    report = born_ensemble(cfg, params, v["n_traj"], seed, threads)
     write_json(outdir / "report.json", report.to_json_dict())
     write_csv(
         outdir / "counts.csv",
@@ -314,26 +344,12 @@ def cmd_born(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
     return ["report.json", "counts.csv"]
 
 
-def cmd_decohere(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    params = _collapse_params(s)
-    raw = s.get("separations_over_rc", "0.5,2,10")
-    try:
-        ratios = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad separations_over_rc list: {raw!r}") from exc
-    cfg = DecoherenceConfig(
-        packet_sigma_over_rc=s.get_float("packet_sigma_over_rc", 0.05),
-        mass=s.get_float("mass", 1e6),
-        grid_n=s.get_int("grid_n", 1024),
-        grid_extent=s.get_float("grid_extent", 32.0),
-        hit_resolution=s.get_float("hit_resolution", 0.05),
-        n_efoldings=s.get_float("n_efoldings", 2.0),
-        n_samples=s.get_int("n_samples", 16),
-    )
+def cmd_decohere(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    params = _collapse_params(v)
+    ratios = v["separations_over_rc"]
+    cfg = _config(DecoherenceConfig, v)
     separations = [r * params.r_c for r in ratios]
-    reports = decoherence_scan(
-        separations, params, s.get_int("n_traj", 300), cfg, seed, threads
-    )
+    reports = decoherence_scan(separations, params, v["n_traj"], cfg, seed, threads)
     write_csv(
         outdir / "scan.csv",
         ["d_over_rc", "d_internal", "gamma_fit_internal", "gamma_stderr_internal",
@@ -350,23 +366,13 @@ def cmd_decohere(s: Settings, seed: int, threads: int, outdir: Path) -> list[str
     return ["scan.csv", "reports.json"]
 
 
-def cmd_visibility(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    params = _collapse_params(s)
-    cfg = VisibilityConfig(
-        sigma0=s.get_float("sigma0", 1.0),
-        mass=s.get_float("mass", 1e6),
-        grid_n=s.get_int("grid_n", 1024),
-        grid_extent=s.get_float("grid_extent", 128.0),
-        hit_resolution=s.get_float("hit_resolution", 1e-3),
-        n_batches=s.get_int("n_batches", 10),
-        n_fringes=s.get_float("n_fringes", 5.0),
-    )
+def cmd_visibility(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     result = visibility_experiment(
-        s.get_float("d_internal", 64.0),
-        params,
-        s.time_internal("t_flight", 1.0),
-        s.get_int("n_traj", 400),
-        cfg,
+        v["d_internal"],
+        _collapse_params(v),
+        v["t_flight"],
+        v["n_traj"],
+        _config(VisibilityConfig, v),
         seed,
         threads,
         keep_screen=True,
@@ -381,21 +387,12 @@ def cmd_visibility(s: Settings, seed: int, threads: int, outdir: Path) -> list[s
     return ["screen.csv", "report.json"]
 
 
-def cmd_heating(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    params = _collapse_params(s)
-    cfg = HeatingConfig(
-        sigma0=s.get_float("sigma0", 2.0),
-        mass=s.get_float("mass", 1.0),
-        grid_n=s.get_int("grid_n", 512),
-        grid_extent=s.get_float("grid_extent", 128.0),
-        dt=s.get_float("dt_internal", 0.025),
-        sample_every=s.get_int("sample_every", 10),
-    )
+def cmd_heating(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     result = heating_experiment(
-        params,
-        s.time_internal("t_total", 5.0),
-        s.get_int("n_traj", 1000),
-        cfg,
+        _collapse_params(v),
+        v["t_total"],
+        v["n_traj"],
+        _config(HeatingConfig, v),
         seed,
         threads,
         keep_curves=True,
@@ -410,17 +407,15 @@ def cmd_heating(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]
     return ["curves.csv", "report.json"]
 
 
-def cmd_exclusion(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    source = s.get("bounds", "default")
+def cmd_exclusion(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    source = v["bounds"]
     path = default_bounds_path() if source == "default" else Path(source)
     bounds = load_bounds(path)
     raster = allowed_region(
         bounds,
-        lambda_range_decades=(s.get_float("log_lambda_min", -18.0),
-                      s.get_float("log_lambda_max", -4.0)),
-        rc_range_decades=(s.get_float("log_rc_min", -9.0),
-                  s.get_float("log_rc_max", -5.0)),
-        resolution=(s.get_int("n_lambda", 141), s.get_int("n_rc", 41)),
+        lambda_range_decades=(v["log_lambda_min"], v["log_lambda_max"]),
+        rc_range_decades=(v["log_rc_min"], v["log_rc_max"]),
+        resolution=(v["n_lambda"], v["n_rc"]),
     )
     write_csv(
         outdir / "raster.csv",
@@ -450,11 +445,10 @@ def cmd_exclusion(s: Settings, seed: int, threads: int, outdir: Path) -> list[st
     return ["raster.csv", "boundary.csv", "summary.json"]
 
 
-def cmd_rates(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    lam = s.get_float("lambda_si", 1e-16)
-    n_raw = s.get("n")
-    if n_raw is not None and not s.get_bool("table", False):
-        print("%g" % amplified_rate(float(n_raw), lam))
+def cmd_rates(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    lam = v["lambda_si"]
+    if v["n"] is not None and not v["table"]:
+        print("%g" % amplified_rate(v["n"], lam))
         return []
     rows = []
     for n in (1.0, 2.0, 1e8, 1e23):
@@ -466,8 +460,8 @@ def cmd_rates(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
     return []
 
 
-def cmd_snapshot(s: Settings, seed: int, threads: int, outdir: Path) -> list[str]:
-    source = s.get("input")
+def cmd_snapshot(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    source = v["input"]
     if source is None:
         raise ConfigError("snapshot needs an input file (positional or input=...)")
     psi, units = read_snapshot(source)
@@ -481,7 +475,7 @@ def cmd_snapshot(s: Settings, seed: int, threads: int, outdir: Path) -> list[str
         "observables": observables(psi),
     }
     print(json.dumps(info, indent=2, sort_keys=True))
-    csv_path = s.get("csv")
+    csv_path = v["csv"]
     if csv_path is not None:
         target = outdir / csv_path
         write_csv(
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "wavefunction localization.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name in KEYS:
+    for name in INPUTS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", default=None)
         p.add_argument("--seed", type=int, default=0, metavar="U64")
@@ -525,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", default=None, metavar="N|auto")
         if name == "snapshot":
             p.add_argument("input_pos", nargs="?", default=None, metavar="FILE")
-        for key in KEYS[name]:
+        for key in config_keys(name):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
 
@@ -545,14 +539,15 @@ def run(argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
-        settings = load_settings(args.subcommand, args)
+        raw = load_settings(args.subcommand, args)
+        values = resolve(args.subcommand, raw)
         threads = resolve_threads(args.threads)
         seed = int(args.seed)
         if seed < 0 or seed >= 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        outputs = HANDLERS[args.subcommand](settings, seed, threads, outdir)
+        outputs = HANDLERS[args.subcommand](values, seed, threads, outdir)
     except (ConfigError, BoundsParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -563,7 +558,7 @@ def run(argv: list[str]) -> int:
     if outputs:
         manifest = {
             "subcommand": args.subcommand,
-            "config": dict(sorted(settings.values.items())),
+            "config": dict(sorted(raw.items())),
             "master_seed": seed,
             "threads": threads,
             "versions": {

@@ -468,11 +468,11 @@ class HeatingConfig:
     mass: float = 1.0
     grid_n: int = 512
     grid_extent: float = 128.0
-    dt: float = 0.025
+    dt_internal: float = 0.025
     sample_every: int = 10
 
     def __post_init__(self):
-        _require_positive(self, "dt", "sample_every")
+        _require_positive(self, "dt_internal", "sample_every")
 
 
 def _heating_worker(job, master_seed: int, index: int):
@@ -481,7 +481,7 @@ def _heating_worker(job, master_seed: int, index: int):
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     psi0 = gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass)
     rec = grw_trajectory(
-        psi0, Potential.free(), params, t_total, cfg.dt,
+        psi0, Potential.free(), params, t_total, cfg.dt_internal,
         cfg.sample_every, rng, units=units, seed=index,
     )
     energy = np.array([o["energy"] for o in rec.observables_at_samples])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -204,3 +205,97 @@ def test_nonpositive_config_values_are_exit_one(tmp_path, argv):
 ])
 def test_empty_ensembles_are_exit_one(tmp_path, argv):
     assert run(argv + ["--n-traj", "0", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("sep", [",", ""])
+def test_empty_separation_list_is_exit_one(tmp_path, sep):
+    assert run([
+        "decohere", "--separations-over-rc", sep, "--n-traj", "2",
+        "--out", str(tmp_path / "x"),
+    ]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--dt-internal", "0"],
+    ["trajectory", "--dt-internal", "-0.005"],
+    ["evolve", "--t-total-internal", "0"],
+    ["trajectory", "--t-total-s", "-1"],
+    ["trajectory", "--sample-every", "0"],
+])
+def test_nonpositive_time_inputs_are_exit_one(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--n", "abc"],
+    ["heating", "--n-traj", "2.7", "--lambda-internal", "4"],
+    ["evolve", "--grid-n", "256.5"],
+    ["trajectory", "--mass-scaling", "maybe"],
+])
+def test_bad_numeric_input_is_exit_one(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+
+
+def test_integer_keys_accept_exponent_form(tmp_path):
+    assert run(["exclusion", "--out", str(tmp_path / "a")]) == 0
+    assert run(["exclusion", "--n-lambda", "1.41e2", "--n-rc", "41.0",
+                "--out", str(tmp_path / "b")]) == 0
+    for name in ("raster.csv", "boundary.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# The flag set of every subcommand, pinned: the parser is generated from the
+# config dataclasses, and perfbench/workloads.py passes some of these flags.
+CLI_SURFACE = {
+    "evolve": [
+        "grid_n", "grid_extent", "x0", "p0", "sigma0", "mass", "potential",
+        "omega", "t_total_internal", "t_total_s", "dt_internal", "sample_every",
+    ],
+    "trajectory": [
+        "grid_n", "grid_extent", "x0", "p0", "sigma0", "mass", "potential",
+        "omega", "t_total_internal", "t_total_s", "dt_internal", "sample_every",
+        "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
+        "mass_scaling",
+    ],
+    "born": [
+        "c_up2", "n_traj", "lambda_si", "lambda_internal", "rc_internal",
+        "rc_m", "pointer_n_nucleons", "pointer_separation", "pointer_sigma",
+        "decision_epsilon", "grid_n", "grid_extent", "hits_budget",
+        "hit_resolution",
+    ],
+    "decohere": [
+        "separations_over_rc", "lambda_si", "lambda_internal", "rc_internal",
+        "rc_m", "n_nucleons", "n_traj", "packet_sigma_over_rc", "mass",
+        "grid_n", "grid_extent", "hit_resolution", "n_efoldings", "n_samples",
+    ],
+    "visibility": [
+        "d_internal", "lambda_si", "lambda_internal", "rc_internal", "rc_m",
+        "n_nucleons", "t_flight_internal", "t_flight_s", "n_traj", "sigma0",
+        "mass", "grid_n", "grid_extent", "hit_resolution", "n_batches",
+        "n_fringes",
+    ],
+    "heating": [
+        "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
+        "t_total_internal", "t_total_s", "n_traj", "sigma0", "mass", "grid_n",
+        "grid_extent", "dt_internal", "sample_every",
+    ],
+    "exclusion": [
+        "bounds", "log_lambda_min", "log_lambda_max", "log_rc_min",
+        "log_rc_max", "n_lambda", "n_rc",
+    ],
+    "rates": ["n", "lambda_si", "table"],
+    "snapshot": ["input", "csv"],
+}
+
+
+def test_cli_surface_is_pinned():
+    from grwlab.cli import build_parser
+
+    common = {"--help", "-h", "--config", "--seed", "--out", "--threads"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_SURFACE)
+    for name, keys in CLI_SURFACE.items():
+        flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        assert flags - common == {"--" + k.replace("_", "-") for k in keys}, name
+
