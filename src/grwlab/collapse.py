@@ -226,7 +226,7 @@ def sample_times(dt: float, n_steps: int, every: int) -> list[float]:
 
 
 def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
-    """The GRW process on K branch rows: yields (t, amps, event) in time order.
+    """The GRW process on K branch rows: yields (t, evolution, event) in time order.
 
     evolution carries a (K, N) array of rows from t = 0 (propagator.flight);
     all rows share one hit sequence.  Hits fall at the running sums of
@@ -235,9 +235,13 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
     the nearest step boundary otherwise.  At a hit the center is drawn from
     the density summed over rows, L(a) multiplies every row, the rows are
     renormalized jointly and become the anchor of evolution, and
-    (t, amps, CollapseEvent) is yielded.  At each time in samples (ascending,
-    at most t_end) (t, amps, None) is yielded.  A sample only reads the
-    state, and a hit at the same time comes first.
+    (t, evolution, CollapseEvent) is yielded.  At each time in samples
+    (ascending, at most t_end) (t, evolution, None) is yielded.  A hit at the
+    same time as a sample comes first.
+
+    The consumer reads what it needs from evolution, evolution.at(t) for the
+    rows, before it advances the generator: the next hit re-anchors it.  At
+    a hit, evolution.at(t) returns the new anchor rows without computing.
     """
     grid = evolution.grid
     t_wait = sample_next_hit_time(rate, rng)
@@ -253,9 +257,10 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
             amps, weight = _localize(amps, grid, a, r_c)
             evolution.anchor(amps, t_hit)
             t_wait += exponential_variate(rng, rate)
-            yield t_hit, amps, CollapseEvent(t=t_hit, center=a, branch_weight=weight)
+            event = CollapseEvent(t=t_hit, center=a, branch_weight=weight)
+            yield t_hit, evolution, event
         elif t_sample is not None:
-            yield t_sample, evolution.at(t_sample), None
+            yield t_sample, evolution, None
             t_sample = next(samples, None)
         else:
             return
@@ -289,8 +294,9 @@ def grw_trajectory(
     events: list[CollapseEvent] = []
     obs: list[dict[str, float]] = []
     process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
-    for _, amps, event in process:
+    for t, evolution, event in process:
         if event is None:
+            amps = evolution.at(t)
             obs.append(observables(psi0.with_amps(amps[0]), v))
         else:
             events.append(event)

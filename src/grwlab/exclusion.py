@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsParseError, DomainError
-from .units import HBAR_SI, NUCLEON_MASS_KG
+from .errors import BoundsParseError, ConfigError, DomainError
 
 
 class BoundKind(Enum):
@@ -146,15 +145,6 @@ def interference_bound(
     return -math.log(v_min) / (n_nucleons * t_flight * suppression)
 
 
-def heating_bound(
-    p_max_w_per_nucleon: float, r_c_m: float, dims: int = 1
-) -> float:
-    """Largest lambda (s^-1) keeping per-nucleon heating below p_max watts."""
-    return heating_bound_internal(
-        p_max_w_per_nucleon, NUCLEON_MASS_KG, r_c_m, dims, hbar=HBAR_SI
-    )
-
-
 def heating_bound_internal(
     p_max: float, mass: float, r_c: float, dims: int = 1, hbar: float = 1.0
 ) -> float:
@@ -224,8 +214,14 @@ def allowed_region(
 
     A cell is allowed iff its lambda lies below every interpolated upper
     bound and above every lower bound at its r_c.  A region is closed iff
-    every boundary row and column of the raster is fully excluded.
+    every boundary row and column of the raster is fully excluded.  Each
+    range must be finite and strictly increasing.
     """
+    for name, (lo, hi) in (("lambda", lambda_range_decades), ("rc", rc_range_decades)):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigError(
+                f"log10 {name} range must be finite and increasing, got [{lo}, {hi}]"
+            )
     n_lambda, n_rc = resolution
     llam = np.linspace(*lambda_range_decades, n_lambda)
     lrc = np.linspace(*rc_range_decades, n_rc)

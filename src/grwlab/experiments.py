@@ -16,14 +16,13 @@ from .collapse import (
     CollapseParams,
     effective_reduction_rate,
     grw_process,
-    grw_trajectory,
     sample_times,
     step_count,
 )
 from .ensemble import map_trajectories
 from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
 from .propagator import Potential, flight
-from .qstate import Grid1D, WaveFunction, gaussian_packet, superpose
+from .qstate import Grid1D, WaveFunction, gaussian_packet, momentum_moments, superpose
 from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS, UnitSystem
 
@@ -90,9 +89,12 @@ class MeasurementConfig:
 
 def _require_positive(cfg, *names: str) -> None:
     for name in names:
-        value = getattr(cfg, name)
-        if not value > 0:
-            raise ConfigError(f"{name} must be > 0, got {value}")
+        _check_positive(name, getattr(cfg, name))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 def _initial_hybrid(cfg: MeasurementConfig) -> tuple[Grid1D, np.ndarray]:
@@ -130,7 +132,9 @@ def born_trial(
     dt = cfg.hit_resolution / rate
     n_max = int(round(cfg.hits_budget / cfg.hit_resolution))
     evolution = flight(grid, Potential.free(), dt, cfg.pointer_n_nucleons, amps)
-    for _, amps, _ in grw_process(evolution, rate, params.r_c, n_max * dt, [0.0], rng):
+    process = grw_process(evolution, rate, params.r_c, n_max * dt, [0.0], rng)
+    for t, evolution, _ in process:
+        amps = evolution.at(t)
         w_up, w_down = _branch_weights(amps, grid)
         if w_down < cfg.decision_epsilon:
             return "up"
@@ -226,9 +230,9 @@ def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
     out = []
     process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
-    for _, amps, event in process:
+    for t, evolution, event in process:
         if event is None:
-            psi_t = psi.with_amps(amps[0])
+            psi_t = psi.with_amps(evolution.at(t)[0])
             out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
     return np.asarray(out, dtype=np.complex128)
 
@@ -346,8 +350,10 @@ def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
     t_end = step_count(t_flight, dt) * dt
     evolution = flight(grid, Potential.free(), dt, cfg.mass, psi0.amps[None])
-    for _, amps, _ in grw_process(evolution, rate, params.r_c, t_end, [t_end], rng):
-        pass
+    process = grw_process(evolution, rate, params.r_c, t_end, [t_end], rng)
+    for t, evolution, event in process:
+        if event is None:
+            amps = evolution.at(t)
     return momentum_screen(psi0.with_amps(amps[0]))[1]
 
 
@@ -392,6 +398,7 @@ def visibility_experiment(
     The far-field fringe period is 2 pi / d; its contrast tracks the
     coherence between the two arms at separation exactly d.
     """
+    _check_positive("t_flight", t_flight)
     if d < 12.0 * cfg.sigma0:
         raise ConfigError(
             f"arms are not well separated: d = {d:g} < 12 sigma0 = "
@@ -476,17 +483,30 @@ class HeatingConfig:
 
 
 def _heating_worker(job, master_seed: int, index: int):
+    """One trajectory; returns (sample times, energy, <p^2>, hit count).
+
+    The samples fall every sample_every steps of dt_internal and at t_total.
+    Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m are
+    read from the spectrum of the anchor (the state after the last hit),
+    and the state itself is never rebuilt at a sample.
+    """
     cfg, params, t_total, units = job
     rng = trajectory_rng(master_seed, index)
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     psi0 = gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass)
-    rec = grw_trajectory(
-        psi0, Potential.free(), params, t_total, cfg.dt_internal,
-        cfg.sample_every, rng, units=units, seed=index,
-    )
-    energy = np.array([o["energy"] for o in rec.observables_at_samples])
-    p2 = np.array([o["mean_p2"] for o in rec.observables_at_samples])
-    return np.array(rec.sample_times), energy, p2, rec.n_hits()
+    dt = cfg.dt_internal
+    times = sample_times(dt, step_count(t_total, dt), cfg.sample_every)
+    rate = params.total_rate_internal(units, cfg.mass)
+    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi0.amps[None])
+    p2, hits = [], 0
+    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
+    for _, evolution, event in process:
+        if event is None:
+            p2.append(momentum_moments(evolution.spectrum()[0], grid)[1])
+        else:
+            hits += 1
+    p2 = np.array(p2)
+    return np.array(times), p2 / (2.0 * cfg.mass), p2, hits
 
 
 def heating_experiment(
@@ -502,6 +522,7 @@ def heating_experiment(
     """Linear fit of ensemble-mean energy and <p^2> growth vs time."""
     from .rates import heating_rate, momentum_diffusion_rate
 
+    _check_positive("t_total", t_total)
     rate = params.total_rate_internal(units, cfg.mass)
     if rate * t_total < 5.0:
         raise StatisticsError(

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, StepSizeError
-from .qstate import Grid1D, WaveFunction
+from .qstate import Grid1D, WaveFunction, k_squared
 
 
 class PotentialKind(Enum):
@@ -79,8 +79,13 @@ def _check_guards(grid: Grid1D, v: np.ndarray, dt: float, mass: float) -> None:
 
 
 def drift_phase(grid: Grid1D, tau: float, mass: float) -> np.ndarray:
-    """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau."""
-    return np.exp(-0.5j * tau * grid.k**2 / mass)
+    """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau.
+
+    k^2 takes n/2 + 1 distinct values, k[0..n/2]; k[n - j] = -k[j] exactly,
+    so the exponential is taken on those and mirrored.
+    """
+    half = np.exp(-0.5j * tau * k_squared(grid)[: grid.n_points // 2 + 1] / mass)
+    return np.concatenate((half, half[-2:0:-1]))
 
 
 class Stepper:
@@ -125,12 +130,17 @@ class FreeFlight:
         """The time at which an event due at t is applied: t itself."""
         return t
 
+    def spectrum(self) -> np.ndarray:
+        """fft of the anchor rows; a free drift keeps its modulus."""
+        if self._phi is None:
+            self._phi = np.fft.fft(self.amps)
+        return self._phi
+
     def at(self, t: float) -> np.ndarray:
         if t == self.t:
             return self.amps
-        if self._phi is None:
-            self._phi = np.fft.fft(self.amps)
-        return np.fft.ifft(drift_phase(self.grid, t - self.t, self.mass) * self._phi)
+        phase = drift_phase(self.grid, t - self.t, self.mass)
+        return np.fft.ifft(phase * self.spectrum())
 
 
 class SteppedFlight:

@@ -8,6 +8,7 @@ the position *density* |psi|^2, i.e. Var(x) = sigma^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class Grid1D:
 
     @property
     def k(self) -> np.ndarray:
-        """Spectral wavenumbers in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        """Spectral wavenumbers in FFT ordering (read-only, one array per grid)."""
+        return _wavenumbers(self.n_points, self.dx)
 
     @classmethod
     def centered(cls, n_points: int, extent: float) -> "Grid1D":
@@ -54,6 +55,21 @@ class Grid1D:
             raise DomainError(f"n_points must be positive, got {n_points}")
         dx = extent / n_points
         return cls(n_points=n_points, x_min=-extent / 2.0, dx=dx)
+
+
+@lru_cache(maxsize=16)
+def _wavenumbers(n_points: int, dx: float) -> np.ndarray:
+    out = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
+    out.setflags(write=False)  # shared by every caller
+    return out
+
+
+@lru_cache(maxsize=16)
+def k_squared(grid: Grid1D) -> np.ndarray:
+    """grid.k**2, computed once per grid and shared read-only."""
+    out = grid.k**2
+    out.setflags(write=False)  # shared by every caller
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,6 +159,19 @@ def superpose(
     return out.normalized()
 
 
+def momentum_moments(phi: np.ndarray, grid: Grid1D) -> tuple[float, float]:
+    """<p> and <p^2> of a state from its FFT phi (any normalization).
+
+    A free drift only changes the phase of phi, so both stay fixed between
+    localization hits.
+    """
+    rho_k = np.abs(phi) ** 2
+    nk = float(np.sum(rho_k))
+    mean_p = float(np.sum(grid.k * rho_k) / nk)
+    mean_p2 = float(np.sum(k_squared(grid) * rho_k) / nk)
+    return mean_p, mean_p2
+
+
 def observables(psi: WaveFunction, potential=None) -> dict[str, float]:
     """Spectral estimates of norm^2, <x>, Var(x), <p>, Var(p) and <H>.
 
@@ -160,12 +189,7 @@ def observables(psi: WaveFunction, potential=None) -> dict[str, float]:
     mean_x = float(np.sum(x * rho) * dx / n2)
     var_x = float(np.sum((x - mean_x) ** 2 * rho) * dx / n2)
 
-    phi = np.fft.fft(amps)
-    k = psi.grid.k
-    rho_k = np.abs(phi) ** 2
-    nk = float(np.sum(rho_k))
-    mean_p = float(np.sum(k * rho_k) / nk)
-    mean_p2 = float(np.sum(k**2 * rho_k) / nk)
+    mean_p, mean_p2 = momentum_moments(np.fft.fft(amps), psi.grid)
     var_p = mean_p2 - mean_p**2
 
     kinetic = mean_p2 / (2.0 * psi.mass)

@@ -28,17 +28,6 @@ def mass_rate(mass_in_mN: float, lambda_si: float) -> float:
     return mass_in_mN * lambda_si
 
 
-def product_state_rate(lambda_si: float, n_subsystems: int = 1) -> float:
-    """Per-subsystem reduction rate of an unentangled product state.
-
-    Amplification needs entanglement; a product of n single-particle
-    superpositions reduces at lambda per subsystem, independent of n.
-    """
-    if n_subsystems < 1:
-        raise DomainError(f"n_subsystems must be >= 1, got {n_subsystems}")
-    return lambda_si
-
-
 def survival_probability(rate_total: float, t: float) -> float:
     """P(no hit by time t) = exp(-rate * t) for a Poisson hit process."""
     if rate_total < 0 or t < 0:

@@ -221,9 +221,21 @@ def test_empty_separation_list_is_exit_one(tmp_path, sep):
     ["evolve", "--t-total-internal", "0"],
     ["trajectory", "--t-total-s", "-1"],
     ["trajectory", "--sample-every", "0"],
+    ["heating", "--t-total-internal", "0", "--lambda-internal", "4"],
+    ["visibility", "--t-flight-s", "-1", "--lambda-internal", "1", "--rc-internal", "4"],
 ])
 def test_nonpositive_time_inputs_are_exit_one(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["exclusion", "--log-rc-min", "nan"],
+    ["exclusion", "--log-rc-min", "3", "--log-rc-max", "1"],
+    ["exclusion", "--log-lambda-max", "inf"],
+])
+def test_bad_exclusion_ranges_are_exit_one(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x" / "raster.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

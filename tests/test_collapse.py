@@ -239,7 +239,8 @@ def test_grw_process_identical_rows_follow_one_state():
     runs = []
     for rows in (psi.amps[None], np.stack([psi.amps, psi.amps]) / np.sqrt(2.0)):
         evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows)
-        out = list(grw_process(evolution, 4.0, 1.0, 2.0, times, trajectory_rng(8, 0)))
+        process = grw_process(evolution, 4.0, 1.0, 2.0, times, trajectory_rng(8, 0))
+        out = [(t, ev.at(t), e) for t, ev, e in process]
         runs.append(([e for _, _, e in out if e is not None], [a for _, a, _ in out]))
     (ev1, one), (ev2, two) = runs
     assert len(ev1) > 2

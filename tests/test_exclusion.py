@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grwlab.errors import BoundsParseError, DomainError
+from grwlab.errors import BoundsParseError, ConfigError, DomainError
 from grwlab.exclusion import (
     BoundCurve,
     BoundKind,
@@ -107,6 +107,18 @@ def test_default_region_closed_with_8_decade_span():
     raster = allowed_region(_default())
     assert raster.closed
     assert raster.span_lambda_decades == pytest.approx(8.0, abs=0.2)
+
+
+@pytest.mark.parametrize("lam, rc", [
+    ((-18.0, -4.0), (float("nan"), -5.0)),
+    ((-18.0, -4.0), (3.0, 1.0)),
+    ((-18.0, -4.0), (-7.0, -7.0)),
+    ((-4.0, -18.0), (-9.0, -5.0)),
+    ((-18.0, float("inf")), (-9.0, -5.0)),
+])
+def test_allowed_region_rejects_bad_ranges(lam, rc):
+    with pytest.raises(ConfigError):
+        allowed_region(_default(), lambda_range_decades=lam, rc_range_decades=rc)
 
 
 def test_point_classification():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grwlab.collapse import CollapseParams
+from grwlab.collapse import CollapseParams, grw_trajectory
 from grwlab.errors import ConfigError, StatisticsError
 from grwlab.experiments import (
     DecoherenceConfig,
@@ -12,6 +12,7 @@ from grwlab.experiments import (
     MeasurementConfig,
     VisibilityConfig,
     born_ensemble,
+    _heating_worker,
     born_trial,
     decoherence_scan,
     fringe_contrast,
@@ -19,9 +20,10 @@ from grwlab.experiments import (
     momentum_screen,
     visibility_experiment,
 )
+from grwlab.propagator import Potential
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
-from grwlab.units import convert_rate_to_si
+from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
 
 THREADS = 2
 
@@ -135,6 +137,22 @@ def test_heating_small_ensemble_sane():
     assert res["slope_energy"] == pytest.approx(res["slope_energy_analytic"], rel=0.3)
     assert res["slope_p2"] == pytest.approx(res["slope_p2_analytic"], rel=0.3)
     assert res["mean_hits"] == pytest.approx(20.0, rel=0.1)
+
+
+def test_heating_samples_from_anchor_spectrum_match_observables():
+    # heating reads <p^2> and the energy from the anchor's spectrum; the
+    # full x-space observables of the same trajectory must agree
+    cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
+    t, energy, p2, hits = _heating_worker((cfg, params, t_total, DEFAULT_UNITS), 3, 0)
+    psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
+                           cfg.sigma0, cfg.mass)
+    rec = grw_trajectory(psi0, Potential.free(), params, t_total, cfg.dt_internal,
+                         cfg.sample_every, trajectory_rng(3, 0))
+    assert hits == rec.n_hits() >= 10
+    assert list(t) == rec.sample_times
+    obs = rec.observables_at_samples
+    np.testing.assert_allclose(p2, [o["mean_p2"] for o in obs], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(energy, [o["energy"] for o in obs], rtol=1e-12, atol=0)
 
 
 def test_report_rejects_bad_counts():

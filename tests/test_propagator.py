@@ -109,6 +109,17 @@ def test_free_split_step_is_one_exact_drift():
     np.testing.assert_allclose(out.amps, amps, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_drift_phase_matches_full_spectrum_bitwise(n):
+    # drift_phase takes exp on the n/2 + 1 distinct k^2 only and mirrors it
+    grid = Grid1D.centered(n, 64.0)
+    rng = np.random.default_rng(n)
+    for mass in (1.0, 3.0, 1e6, 1e8):
+        for tau in rng.uniform(-50.0, 50.0, 200):
+            full = np.exp(-0.5j * tau * grid.k**2 / mass)
+            assert drift_phase(grid, tau, mass).tobytes() == full.tobytes()
+
+
 def test_free_flight_matches_free_steps_across_hits():
     # the same hits (times on the step grid, fixed centers) applied between
     # exact drifts and between free Strang steps give the same state

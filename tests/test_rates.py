@@ -11,7 +11,6 @@ from grwlab.rates import (
     heating_rate_si_per_nucleon,
     mass_rate,
     momentum_diffusion_rate,
-    product_state_rate,
     survival_probability,
     visibility_analytic,
 )
@@ -29,12 +28,6 @@ def test_amplification_examples():
 def test_mass_proportional_rate():
     assert mass_rate(2.0, LAMBDA) == pytest.approx(2e-16)
     assert mass_rate(1e8, LAMBDA) == pytest.approx(1e-8)
-
-
-def test_product_state_rate_not_amplified():
-    # independent subsystems each collapse at the bare rate
-    assert product_state_rate(LAMBDA) == LAMBDA
-    assert product_state_rate(LAMBDA, n_subsystems=50) == LAMBDA
 
 
 def test_survival_probability():
