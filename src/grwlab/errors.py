@@ -55,3 +55,7 @@ class StatisticsError(GrwError, RuntimeError):
 
 class DecisionTimeoutError(GrwError, RuntimeError):
     """A measurement trial failed to reach an outcome within its time budget."""
+
+
+class WorkerError(GrwError, RuntimeError):
+    """A worker process of an ensemble died before returning its results."""

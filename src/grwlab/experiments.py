@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from .collapse import (
 )
 from .ensemble import map_trajectories
 from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
-from .propagator import Potential, flight
+from .propagator import Potential, drift_phase, flight
 from .qstate import Grid1D, WaveFunction, gaussian_packet, momentum_moments, superpose
+from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS, UnitSystem
 
@@ -45,6 +47,43 @@ class EnsembleReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+# ---------------------------------------------------------------------------
+# Per-ensemble set-up
+#
+# The initial rows of every trajectory of an ensemble, and what follows from
+# them alone, are built once per process on first use (lru_cache, keyed on
+# the frozen config) and shared read-only, so no trajectory can change them.
+# ---------------------------------------------------------------------------
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """Initial rows (K, N) of an ensemble's trajectories and their FFT."""
+
+    grid: Grid1D
+    rows: np.ndarray
+    spectrum: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid1D, rows: np.ndarray) -> "_Start":
+        return cls(grid, _frozen(rows), _frozen(np.fft.fft(rows)))
+
+    def flight(self, dt: float, mass: float):
+        """Free evolution of the rows from t = 0, starting from their FFT."""
+        return flight(self.grid, Potential.free(), dt, mass, self.rows,
+                      _spectrum=self.spectrum)
+
+
+def _packet_pair(grid: Grid1D, d: float, sigma: float, mass: float):
+    """Packets of width sigma at -d/2 and +d/2."""
+    return (gaussian_packet(grid, -d / 2.0, 0.0, sigma, mass),
+            gaussian_packet(grid, +d / 2.0, 0.0, sigma, mass))
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +136,14 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be > 0, got {value}")
 
 
-def _initial_hybrid(cfg: MeasurementConfig) -> tuple[Grid1D, np.ndarray]:
+@lru_cache(maxsize=1)
+def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
     """The spin (x) pointer state as rows (up, down) of one (2, N) array."""
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    mass = cfg.pointer_n_nucleons
-    d = cfg.pointer_separation
-    left = gaussian_packet(grid, -d / 2.0, 0.0, cfg.pointer_sigma, mass)
-    right = gaussian_packet(grid, +d / 2.0, 0.0, cfg.pointer_sigma, mass)
+    left, right = _packet_pair(grid, cfg.pointer_separation, cfg.pointer_sigma,
+                               cfg.pointer_n_nucleons)
     amps = np.stack([cfg.c_up * left.amps, cfg.c_down * right.amps])
-    return grid, amps / np.sqrt(np.sum(_branch_weights(amps, grid)))
+    return _Start.of(grid, amps / np.sqrt(np.sum(_branch_weights(amps, grid))))
 
 
 def _branch_weights(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -125,13 +163,14 @@ def born_trial(
     Free evolution keeps each branch's weight, so the weights are checked at
     t = 0 and after each hit, up to hits_budget / rate.
     """
-    grid, amps = _initial_hybrid(cfg)
+    start = _initial_hybrid(cfg)
+    grid, amps = start.grid, start.rows
     rate = params.total_rate_internal(units)
     if rate <= 0:
         raise ConfigError("born_trial needs a positive total collapse rate")
     dt = cfg.hit_resolution / rate
     n_max = int(round(cfg.hits_budget / cfg.hit_resolution))
-    evolution = flight(grid, Potential.free(), dt, cfg.pointer_n_nucleons, amps)
+    evolution = start.flight(dt, cfg.pointer_n_nucleons)
     process = grw_process(evolution, rate, params.r_c, n_max * dt, [0.0], rng)
     for t, evolution, _ in process:
         amps = evolution.at(t)
@@ -215,25 +254,56 @@ def _decoherence_grid(cfg: DecoherenceConfig, params, d, units):
     return dt, sample_times(dt, n_steps, max(1, n_steps // cfg.n_samples))
 
 
+@dataclass(frozen=True, eq=False)
+class _DecoherenceSetup:
+    """What every trajectory of one separation shares.
+
+    phases[s] is drift_phase(t_s) at sample time t_s, and packets holds
+    conj(fft(phi_L)) and conj(fft(phi_R)) times dx / N.  A state whose
+    spectrum at time t_s is phases[s] * chi then has the overlaps
+    (<phi_L|psi(t_s)>, <phi_R|psi(t_s)>) = packets @ (phases[s] * chi)
+    by Parseval: no FFT and no exponential per sample.
+    """
+
+    start: _Start
+    dt: float
+    times: tuple[float, ...]
+    phases: np.ndarray  # (S, N)
+    packets: np.ndarray  # (2, N)
+
+
+@lru_cache(maxsize=1)  # separations run one after another
+def _decoherence_setup(cfg: DecoherenceConfig, params, d: float, units) -> _DecoherenceSetup:
+    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    phi_l, phi_r = _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
+    psi = superpose(phi_l, phi_r, 1.0, 1.0)
+    dt, times = _decoherence_grid(cfg, params, d, units)
+    phases = np.stack([drift_phase(grid, t, cfg.mass) for t in times])
+    spectra = np.fft.fft(np.stack([phi_l.amps, phi_r.amps]))
+    packets = np.conj(spectra) * (grid.dx / grid.n_points)
+    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), dt, tuple(times),
+                             _frozen(phases), _frozen(packets))
+
+
 def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
-    """One trajectory; returns a_L * conj(a_R) at the sample times."""
+    """One trajectory; returns a_L * conj(a_R) at the sample times.
+
+    Between hits the spectrum drifts by a phase, so each sample's overlaps
+    are read in k space from the anchor's spectrum drifted back to t = 0
+    (FreeFlight.origin_spectrum, one per anchor) and the set-up's tables.
+    """
     cfg, params, d, units, stream = job
     rng = trajectory_rng(master_seed, index, stream)
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    sigma = cfg.packet_sigma_over_rc * params.r_c
-    phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
-    phi_r = gaussian_packet(grid, +d / 2.0, 0.0, sigma, cfg.mass)
-    psi = superpose(phi_l, phi_r, 1.0, 1.0)
-
+    setup = _decoherence_setup(cfg, params, d, units)
     rate = params.total_rate_internal(units)
-    dt, times = _decoherence_grid(cfg, params, d, units)
-    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
+    evolution = setup.start.flight(setup.dt, cfg.mass)
     out = []
-    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
-    for t, evolution, event in process:
+    process = grw_process(evolution, rate, params.r_c, setup.times[-1], setup.times, rng)
+    for _, evolution, event in process:
         if event is None:
-            psi_t = psi.with_amps(evolution.at(t)[0])
-            out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
+            chi = evolution.origin_spectrum()[0]
+            a_l, a_r = setup.packets @ (setup.phases[len(out)] * chi)
+            out.append(a_l * np.conj(a_r))
     return np.asarray(out, dtype=np.complex128)
 
 
@@ -251,7 +321,7 @@ def decoherence_scan(
     for j, d in enumerate(separations):
         job = (cfg, params, float(d), units, j)  # stream tag j per separation
         traces = map_trajectories(
-            _coherence_samples, job, ensemble_size, master_seed, threads
+            _coherence_samples, job, ensemble_size, master_seed, threads, stream=j
         )
         t = np.array(_decoherence_grid(cfg, params, d, units)[1])
         mean_c = np.abs(np.mean(np.stack(traces), axis=0))
@@ -339,22 +409,26 @@ def momentum_screen(psi: WaveFunction, pad: int = 8) -> tuple[np.ndarray, np.nda
     return p_axis, intensity
 
 
+@lru_cache(maxsize=1)
+def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
+    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    psi0 = superpose(*_packet_pair(grid, d, cfg.sigma0, cfg.mass), 1.0, 1.0)
+    return _Start.of(grid, psi0.amps[None])
+
+
 def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
     cfg, params, d, t_flight, units = job
     rng = trajectory_rng(master_seed, index)
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    left = gaussian_packet(grid, -d / 2.0, 0.0, cfg.sigma0, cfg.mass)
-    right = gaussian_packet(grid, +d / 2.0, 0.0, cfg.sigma0, cfg.mass)
-    psi0 = superpose(left, right, 1.0, 1.0)
+    start = _two_arms(cfg, d)
     rate = params.total_rate_internal(units, cfg.mass)
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
     t_end = step_count(t_flight, dt) * dt
-    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi0.amps[None])
+    evolution = start.flight(dt, cfg.mass)
     process = grw_process(evolution, rate, params.r_c, t_end, [t_end], rng)
     for t, evolution, event in process:
         if event is None:
             amps = evolution.at(t)
-    return momentum_screen(psi0.with_amps(amps[0]))[1]
+    return momentum_screen(WaveFunction(start.grid, amps[0], cfg.mass))[1]
 
 
 def fringe_contrast(
@@ -447,9 +521,7 @@ def visibility_experiment(
     ratios = np.asarray(ratios)
     stderr = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
 
-    v_analytic = float(
-        np.exp(-effective_reduction_rate(d, params) * units.time_to_si(t_flight))
-    )
+    v_analytic = visibility_analytic(d, params, units.time_to_si(t_flight))
     result = {
         "V_measured": float(v_measured),
         "V_ideal": float(v_ideal),
@@ -482,6 +554,12 @@ class HeatingConfig:
         _require_positive(self, "dt_internal", "sample_every")
 
 
+@lru_cache(maxsize=1)
+def _one_packet(cfg: HeatingConfig) -> _Start:
+    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    return _Start.of(grid, gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
+
+
 def _heating_worker(job, master_seed: int, index: int):
     """One trajectory; returns (sample times, energy, <p^2>, hit count).
 
@@ -492,17 +570,16 @@ def _heating_worker(job, master_seed: int, index: int):
     """
     cfg, params, t_total, units = job
     rng = trajectory_rng(master_seed, index)
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    psi0 = gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass)
+    start = _one_packet(cfg)
     dt = cfg.dt_internal
     times = sample_times(dt, step_count(t_total, dt), cfg.sample_every)
     rate = params.total_rate_internal(units, cfg.mass)
-    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi0.amps[None])
+    evolution = start.flight(dt, cfg.mass)
     p2, hits = [], 0
     process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
     for _, evolution, event in process:
         if event is None:
-            p2.append(momentum_moments(evolution.spectrum()[0], grid)[1])
+            p2.append(momentum_moments(evolution.spectrum()[0], start.grid)[1])
         else:
             hits += 1
     p2 = np.array(p2)
@@ -520,8 +597,6 @@ def heating_experiment(
     keep_curves: bool = False,
 ) -> dict:
     """Linear fit of ensemble-mean energy and <p^2> growth vs time."""
-    from .rates import heating_rate, momentum_diffusion_rate
-
     _check_positive("t_total", t_total)
     rate = params.total_rate_internal(units, cfg.mass)
     if rate * t_total < 5.0:

@@ -116,15 +116,20 @@ class FreeFlight:
     k-space drift, ifft(drift_phase(t - t_a) * fft(rows)).  The anchor's
     transform is taken when first needed and reused until the next anchor,
     so reading the state at several times costs one inverse FFT each.
+    spectrum, when given, is fft(amps) of the first anchor, precomputed.
     """
 
-    def __init__(self, grid: Grid1D, mass: float, amps: np.ndarray):
+    def __init__(
+        self, grid: Grid1D, mass: float, amps: np.ndarray,
+        spectrum: np.ndarray | None = None,
+    ):
         self.grid = grid
         self.mass = mass
         self.anchor(amps, 0.0)
+        self._phi = spectrum
 
     def anchor(self, amps: np.ndarray, t: float) -> None:
-        self.amps, self.t, self._phi = amps, t, None
+        self.amps, self.t, self._phi, self._chi = amps, t, None, None
 
     def event_time(self, t: float) -> float:
         """The time at which an event due at t is applied: t itself."""
@@ -135,6 +140,13 @@ class FreeFlight:
         if self._phi is None:
             self._phi = np.fft.fft(self.amps)
         return self._phi
+
+    def origin_spectrum(self) -> np.ndarray:
+        """The anchor's spectrum drifted back to t = 0: until the next anchor,
+        the spectrum at any time t is drift_phase(t) * origin_spectrum()."""
+        if self._chi is None:
+            self._chi = drift_phase(self.grid, -self.t, self.mass) * self.spectrum()
+        return self._chi
 
     def at(self, t: float) -> np.ndarray:
         if t == self.t:
@@ -176,16 +188,19 @@ class SteppedFlight:
 
 
 def flight(
-    grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray
+    grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray,
+    *, _spectrum: np.ndarray | None = None,
 ) -> FreeFlight | SteppedFlight:
     """The evolution of rows amps from t = 0 under v.
 
     Free evolution is exact (FreeFlight); any other potential takes Strang
     steps of dt (SteppedFlight).  Both check dt against the step guards.
+    _spectrum is np.fft.fft(amps) where an ensemble has it built once for
+    all its trajectories; a free flight then starts from it.
     """
     if v.kind is PotentialKind.FREE:
         _check_guards(grid, v.values(grid, mass), dt, mass)
-        return FreeFlight(grid, mass, amps)
+        return FreeFlight(grid, mass, amps, _spectrum)
     return SteppedFlight(Stepper(grid, v, dt, mass), amps)
 
 

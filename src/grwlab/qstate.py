@@ -42,7 +42,8 @@ class Grid1D:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        """Grid points x_min + j dx (read-only, one array per grid)."""
+        return _positions(self.n_points, self.x_min, self.dx)
 
     @property
     def k(self) -> np.ndarray:
@@ -55,6 +56,13 @@ class Grid1D:
             raise DomainError(f"n_points must be positive, got {n_points}")
         dx = extent / n_points
         return cls(n_points=n_points, x_min=-extent / 2.0, dx=dx)
+
+
+@lru_cache(maxsize=16)
+def _positions(n_points: int, x_min: float, dx: float) -> np.ndarray:
+    out = x_min + dx * np.arange(n_points)
+    out.setflags(write=False)  # shared by every caller
+    return out
 
 
 @lru_cache(maxsize=16)

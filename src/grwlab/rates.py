@@ -11,7 +11,6 @@ import numpy as np
 
 from .collapse import CollapseParams, effective_reduction_rate
 from .errors import DomainError
-from .units import HBAR_SI, NUCLEON_MASS_KG
 
 
 def amplified_rate(n_nucleons: float, lambda_si: float) -> float:
@@ -19,20 +18,6 @@ def amplified_rate(n_nucleons: float, lambda_si: float) -> float:
     if n_nucleons < 0 or lambda_si < 0:
         raise DomainError("inputs must be non-negative")
     return n_nucleons * lambda_si
-
-
-def mass_rate(mass_in_mN: float, lambda_si: float) -> float:
-    """Mass-proportional collapse rate (m / m_N) * lambda."""
-    if mass_in_mN <= 0:
-        raise DomainError(f"mass must be positive, got {mass_in_mN}")
-    return mass_in_mN * lambda_si
-
-
-def survival_probability(rate_total: float, t: float) -> float:
-    """P(no hit by time t) = exp(-rate * t) for a Poisson hit process."""
-    if rate_total < 0 or t < 0:
-        raise DomainError("rate and t must be non-negative")
-    return float(np.exp(-rate_total * t))
 
 
 def heating_rate(
@@ -49,11 +34,6 @@ def heating_rate(
     if dims not in (1, 3):
         raise DomainError(f"dims must be 1 or 3, got {dims}")
     return dims * lambda_rate * hbar**2 / (4.0 * mass * r_c**2)
-
-
-def heating_rate_si_per_nucleon(lambda_si: float, r_c_m: float, dims: int = 1) -> float:
-    """Watts gained per nucleon at the given SI collapse rate."""
-    return heating_rate(lambda_si, NUCLEON_MASS_KG, r_c_m, dims, hbar=HBAR_SI)
 
 
 def momentum_diffusion_rate(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from grwlab.collapse import CollapseParams, grw_trajectory
+from grwlab import experiments
+from grwlab.collapse import CollapseParams, grw_process, grw_trajectory
 from grwlab.errors import ConfigError, StatisticsError
 from grwlab.experiments import (
     DecoherenceConfig,
@@ -20,7 +21,7 @@ from grwlab.experiments import (
     momentum_screen,
     visibility_experiment,
 )
-from grwlab.propagator import Potential
+from grwlab.propagator import Potential, flight
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
 from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
@@ -184,3 +185,87 @@ def test_decoherence_separations_do_not_share_streams():
 def test_decoherence_scan_accepts_largest_seed():
     reports = _small_scan([10.0, 2.0], master_seed=2**64 - 1)
     assert [r.seed for r in reports] == [2**64 - 1] * 2
+
+
+def _decohere_job(d, stream=0):
+    return (DecoherenceConfig(), _params(2.0, 1.0), d, DEFAULT_UNITS, stream)
+
+
+def _x_space_coherence(job, master_seed, index):
+    """_coherence_samples the direct way: rebuild psi(t) at each sample and
+    take both overlaps in x space.  Returns (samples, hit count)."""
+    cfg, params, d, units, stream = job
+    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    sigma = cfg.packet_sigma_over_rc * params.r_c
+    phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
+    phi_r = gaussian_packet(grid, +d / 2.0, 0.0, sigma, cfg.mass)
+    psi = superpose(phi_l, phi_r, 1.0, 1.0)
+    dt, times = experiments._decoherence_grid(cfg, params, d, units)
+    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
+    rng = trajectory_rng(master_seed, index, stream)
+    out, hits = [], 0
+    for t, evolution, event in grw_process(
+        evolution, params.total_rate_internal(units), params.r_c, times[-1], times, rng
+    ):
+        if event is None:
+            psi_t = psi.with_amps(evolution.at(t)[0])
+            out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
+        else:
+            hits += 1
+    return np.array(out), hits
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0, 10.0])
+def test_decohere_k_space_samples_match_x_space_overlaps(d):
+    job = _decohere_job(d)
+    fast = experiments._coherence_samples(job, 8, 1)
+    slow, hits = _x_space_coherence(job, 8, 1)
+    assert hits >= 1 and len(fast) == len(slow) >= 17
+    # relative to the initial coherence: after a hit at d = 10 r_c the
+    # coherence itself is ~1e-22, far below the round-off of either sum
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * abs(slow[0]))
+
+
+def test_decohere_samples_take_no_inverse_fft(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    real_process, at_samples = experiments.grw_process, []
+
+    def watched(*args):
+        for item in real_process(*args):
+            before = len(calls)
+            yield item
+            if item[2] is None:
+                at_samples.append(calls[before:])
+
+    monkeypatch.setattr(experiments, "grw_process", watched)
+    job = _decohere_job(2.0)
+    experiments._coherence_samples(job, 1, 0)  # builds the set-up
+    calls.clear()
+    at_samples.clear()
+    samples = experiments._coherence_samples(job, 1, 0)
+    hits = calls.count("irfft")  # one density convolution per hit
+    assert hits >= 1 and len(at_samples) == len(samples) >= 17
+    # a sample reads the anchor's spectrum, taken once per anchor and reused
+    # by the next hit; it takes no inverse FFT
+    assert sum(at_samples, []) == ["fft"] * hits
+    assert sorted(calls) == sorted(["fft", "ifft", "rfft", "irfft"] * hits)
+
+
+def test_ensemble_set_up_is_read_only():
+    job = _decohere_job(2.0)
+    setup = experiments._decoherence_setup(*job[:4])
+    arrays = [setup.start.rows, setup.start.spectrum, setup.phases, setup.packets]
+    before = [a.copy() for a in arrays]
+    experiments._coherence_samples(job, 2, 0)
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            a[..., 0] = 0.0
+    cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5))
+    start = experiments._initial_hybrid(cfg)
+    assert not (start.rows.flags.writeable or start.spectrum.flags.writeable)

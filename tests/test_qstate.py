@@ -31,6 +31,15 @@ def test_grid_axes():
     np.testing.assert_allclose(g.k, 2 * np.pi * np.fft.fftfreq(8, d=1.0))
 
 
+def test_grid_positions_are_cached_read_only():
+    g = Grid1D.centered(512, 48.0)
+    x = g.x
+    assert x is Grid1D.centered(512, 48.0).x  # one array per grid
+    assert x.tobytes() == (g.x_min + g.dx * np.arange(g.n_points)).tobytes()
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
 def test_gaussian_packet_moments():
     psi = gaussian_packet(GRID, x0=1.5, p0=0.75, sigma=1.2, mass=1.0)
     obs = observables(psi)

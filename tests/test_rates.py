@@ -4,14 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grwlab.collapse import CollapseParams
-from grwlab.errors import DomainError
 from grwlab.rates import (
     amplified_rate,
     heating_rate,
-    heating_rate_si_per_nucleon,
-    mass_rate,
     momentum_diffusion_rate,
-    survival_probability,
     visibility_analytic,
 )
 
@@ -25,18 +21,6 @@ def test_amplification_examples():
     assert 1.0 / amplified_rate(1e23, LAMBDA) == pytest.approx(1e-7, rel=1e-12)
 
 
-def test_mass_proportional_rate():
-    assert mass_rate(2.0, LAMBDA) == pytest.approx(2e-16)
-    assert mass_rate(1e8, LAMBDA) == pytest.approx(1e-8)
-
-
-def test_survival_probability():
-    assert survival_probability(2.0, 0.0) == 1.0
-    assert survival_probability(2.0, 1.0) == pytest.approx(np.exp(-2.0))
-    with pytest.raises(DomainError):
-        survival_probability(-1.0, 1.0)
-
-
 def test_heating_rate_formula():
     # dE/dt = dims lambda hbar^2 / (4 m r_c^2), internal units
     assert heating_rate(1.0, 1.0, 1.0) == pytest.approx(0.25)
@@ -47,12 +31,6 @@ def test_heating_rate_formula():
 def test_momentum_diffusion_is_mass_free():
     assert momentum_diffusion_rate(1.0, 1.0) == pytest.approx(0.5)
     assert momentum_diffusion_rate(1.0, 2.0) == pytest.approx(0.125)
-
-
-def test_heating_rate_si_magnitude():
-    # canonical parameters: a per-nucleon heating power, tiny but positive
-    p = heating_rate_si_per_nucleon(1e-16, 1e-7)
-    assert 0 < p < 1e-40  # watts; "tiny energy" indeed
 
 
 def test_visibility_analytic_limits():
