@@ -61,6 +61,8 @@ OBS_COLUMNS = ("norm2", "mean_x", "var_x", "mean_p", "var_p", "mean_p2", "energy
 # ---------------------------------------------------------------------------
 
 def _cell(v) -> str:
+    if type(v) is float:  # the common case first; see _columns
+        return format(v, ".17g")
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (float, np.floating)):
@@ -68,11 +70,15 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _columns(*arrays) -> zip:
+    """Rows of numpy columns as Python scalars, each column converted once."""
+    return zip(*(np.asarray(a).tolist() for a in arrays))
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -381,7 +387,7 @@ def cmd_visibility(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     write_csv(
         outdir / "screen.csv",
         ["p", "intensity_mean", "intensity_ideal"],
-        zip(screen["p"], screen["mean"], screen["ideal"]),
+        _columns(screen["p"], screen["mean"], screen["ideal"]),
     )
     write_json(outdir / "report.json", result)
     return ["screen.csv", "report.json"]
@@ -401,7 +407,7 @@ def cmd_heating(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     write_csv(
         outdir / "curves.csv",
         ["t", "mean_energy", "mean_p2"],
-        zip(curves["t"], curves["energy"], curves["p2"]),
+        _columns(curves["t"], curves["energy"], curves["p2"]),
     )
     write_json(outdir / "report.json", result)
     return ["curves.csv", "report.json"]
@@ -481,7 +487,7 @@ def cmd_snapshot(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
         write_csv(
             target,
             ["x", "re", "im"],
-            zip(psi.grid.x, psi.amps.real, psi.amps.imag),
+            _columns(psi.grid.x, psi.amps.real, psi.amps.imag),
         )
         return [str(csv_path)]
     return []

@@ -1,8 +1,10 @@
-"""Ordered, reproducible ensemble execution.
+"""Ordered, reproducible ensemble execution, reduced in fixed blocks.
 
 Workers are module-level functions fn(cfg, master_seed, index) -> result.
-Each index derives its own Philox stream from (master_seed, index), and
-results are concatenated in index order, so the outcome is independent of
+Each index derives its own Philox stream from (master_seed, index).  The
+indices 0..n-1 fall into fixed blocks whose bounds depend on n and the block
+count only; each block sums its results in index order where it runs, and
+the block sums come back in block order, so the outcome is independent of
 thread count and scheduling.  A GrwError raised in a trajectory names it.
 """
 
@@ -11,10 +13,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate
 
 from .errors import ConfigError, GrwError, WorkerError
+
+BLOCKS = 16  # per ensemble unless the caller fixes them; 2 per worker at 8 threads
 
 
 def resolve_threads(threads) -> int:
@@ -32,42 +36,74 @@ def resolve_threads(threads) -> int:
     return t
 
 
-def _run_chunk(args):
-    """Results of fn at the given indices; a GrwError is re-raised with the
-    index, seed and stream tag of its trajectory put before its message."""
+def block_ranges(n: int, blocks: int) -> list[range]:
+    """min(n, blocks) consecutive index ranges covering 0..n-1; the first
+    n % blocks are one longer (the sections of np.array_split)."""
+    k = min(n, blocks)
+    ends = [0, *accumulate(n // k + (j < n % k) for j in range(k))]
+    return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _add(a, b):
+    """a + b, taken element by element for tuples."""
+    if isinstance(a, tuple):
+        return tuple(map(_add, a, b))
+    return a + b
+
+
+def total(parts):
+    """Sum of block sums (or of any results) in the order given."""
+    return reduce(_add, parts)
+
+
+def _block_sum(args):
+    """Sum of fn over one block of indices, in index order; a GrwError is
+    re-raised with the index, seed and stream tag of its trajectory put
+    before its message."""
     fn, cfg, master_seed, stream, indices = args
-    results = []
+    acc = None
     for i in indices:
         try:
-            results.append(fn(cfg, master_seed, i))
+            result = fn(cfg, master_seed, i)
         except GrwError as exc:
             tag = "" if stream is None else f", stream {stream}"
             exc.args = (f"trajectory {i} of seed {master_seed}{tag}: {exc}",)
             raise
-    return results
+        acc = result if acc is None else _add(acc, result)
+    return acc
 
 
 def map_trajectories(
-    fn, cfg, n: int, master_seed: int, threads: int = 1, stream: int | None = None
+    fn, cfg, n: int, master_seed: int, threads: int = 1,
+    stream: int | list[int] | None = None, blocks: int = BLOCKS,
 ) -> list:
-    """Run fn over indices 0..n-1; ordered results, thread-count independent.
+    """Block sums of fn(cfg, master_seed, i) over i = 0..n-1, in block order
+    (block_ranges(n, blocks)); the same bytes for any thread count.
 
     stream is the stream tag fn's trajectories draw from, if any; it only
-    labels a failure.
+    labels a failure.  Several ensembles of n share one process pool when
+    cfg and stream are lists of equal length, ensemble j running job cfg[j]
+    under tag stream[j]; the result is then one list of block sums per job.
     """
     if n < 1:
         raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
-    threads = resolve_threads(threads)
-    if threads <= 1 or n <= 1:
-        return _run_chunk((fn, cfg, master_seed, stream, range(n)))
-    n_chunks = min(n, threads * 4)
-    chunks = np.array_split(np.arange(n), n_chunks)
-    jobs = [(fn, cfg, master_seed, stream, [int(i) for i in c]) for c in chunks if len(c)]
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_run_chunk, jobs))
-    except BrokenProcessPool as exc:
-        raise WorkerError(
-            f"a worker process died in the ensemble of seed {master_seed}: {exc}"
-        ) from exc
-    return [r for part in parts for r in part]
+    several = isinstance(stream, list)
+    ensembles = list(zip(cfg, stream)) if several else [(cfg, stream)]
+    ranges = block_ranges(n, blocks)
+    tasks = [(fn, job, master_seed, tag, r) for job, tag in ensembles for r in ranges]
+    threads = min(resolve_threads(threads), len(tasks))
+    if threads <= 1:
+        sums = [_block_sum(task) for task in tasks]
+    else:
+        # tasks leave in submission order, so a worker meets the ensembles
+        # one after another and builds each one's set-up at most once
+        try:
+            with ProcessPoolExecutor(max_workers=threads) as ex:
+                sums = list(ex.map(_block_sum, tasks))
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"a worker process died in the ensemble of seed {master_seed}: {exc}"
+            ) from exc
+    k = len(ranges)
+    per_ensemble = [sums[j * k:(j + 1) * k] for j in range(len(ensembles))]
+    return per_ensemble if several else per_ensemble[0]

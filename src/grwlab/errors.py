@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class GrwError(Exception):
     """Base class for all grwlab errors."""
+
+    def __reduce__(self):
+        # rebuilt without __init__, whose parameters need not match .args,
+        # so an error raised in a pool worker reaches the parent intact
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(GrwError, ValueError):

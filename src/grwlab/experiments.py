@@ -20,7 +20,7 @@ from .collapse import (
     sample_times,
     step_count,
 )
-from .ensemble import map_trajectories
+from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
 from .propagator import Potential, drift_phase, flight
 from .qstate import Grid1D, WaveFunction, gaussian_packet, momentum_moments, superpose
@@ -186,9 +186,10 @@ def born_trial(
     )
 
 
-def _born_worker(job, master_seed: int, index: int) -> str:
+def _born_worker(job, master_seed: int, index: int) -> int:
+    """1 if the trial ends "up", else 0: summed, the up count."""
     cfg, params = job
-    return born_trial(cfg, params, trajectory_rng(master_seed, index))
+    return int(born_trial(cfg, params, trajectory_rng(master_seed, index)) == "up")
 
 
 def born_ensemble(
@@ -198,10 +199,9 @@ def born_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> EnsembleReport:
-    outcomes = map_trajectories(
+    n_up = total(map_trajectories(
         _born_worker, (cfg, params), n_trajectories, master_seed, threads
-    )
-    n_up = sum(1 for o in outcomes if o == "up")
+    ))
     n = n_trajectories
     freq = n_up / n
     stderr = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n))
@@ -307,6 +307,16 @@ def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     return np.asarray(out, dtype=np.complex128)
 
 
+def _coherence_terms(job, master_seed: int, index: int):
+    """One trajectory's summands: its coherence trace c, x = |c_last| - |c_0|
+    and x^2.  Every trajectory has the same c_0, so the sums of x and x^2 give
+    the spread of |c_last| for the flat-coherence estimate without the
+    cancellation of raw sums."""
+    c = _coherence_samples(job, master_seed, index)
+    x = abs(c[-1]) - abs(c[0])
+    return c, x, x * x
+
+
 def decoherence_scan(
     separations: list[float],
     params: CollapseParams,
@@ -316,15 +326,20 @@ def decoherence_scan(
     threads: int = 1,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> list[EnsembleReport]:
-    """Fit exp(-Gamma t) to ensemble-averaged branch coherence per separation."""
+    """Fit exp(-Gamma t) to ensemble-averaged branch coherence per separation.
+
+    All separations run in one process pool; separation j draws from stream
+    tag j.
+    """
+    n = ensemble_size
+    jobs = [(cfg, params, float(d), units, j) for j, d in enumerate(separations)]
+    scans = map_trajectories(_coherence_terms, jobs, n, master_seed, threads,
+                             stream=list(range(len(jobs))))
     reports = []
-    for j, d in enumerate(separations):
-        job = (cfg, params, float(d), units, j)  # stream tag j per separation
-        traces = map_trajectories(
-            _coherence_samples, job, ensemble_size, master_seed, threads, stream=j
-        )
+    for d, sums in zip(separations, scans):
+        sum_c, sum_x, sum_x2 = total(sums)
         t = np.array(_decoherence_grid(cfg, params, d, units)[1])
-        mean_c = np.abs(np.mean(np.stack(traces), axis=0))
+        mean_c = np.abs(sum_c / n)
         gamma_analytic = units.rate_to_internal(effective_reduction_rate(d, params))
         if gamma_analytic > 0:
             slope, intercept, r2, slope_err = _linear_fit(t, np.log(mean_c))
@@ -332,8 +347,8 @@ def decoherence_scan(
         else:
             # flat-coherence case: report the direct drift estimate
             drift = (mean_c[-1] - mean_c[0]) / (t[-1] - t[0]) / mean_c[0]
-            sem = float(np.std(np.abs(np.stack(traces))[:, -1], ddof=1)
-                        / np.sqrt(ensemble_size))
+            var_last = max(sum_x2 - sum_x * sum_x / n, 0.0) / (n - 1)
+            sem = float(np.sqrt(var_last / n))
             gamma_fit, gamma_err, r2 = -drift, sem / mean_c[0] / (t[-1] - t[0]), 1.0
         reports.append(EnsembleReport(
             n_trajectories=ensemble_size,
@@ -501,20 +516,19 @@ def visibility_experiment(
     ideal = _screen_worker(job0, master_seed, 0)
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
+    # the batch-means batches are the ensemble's blocks: one summed screen each
     job = (cfg, params, d, t_flight, units)
-    densities = map_trajectories(_screen_worker, job, ensemble_size, master_seed, threads)
-    stack = np.stack(densities)
-    mean_intensity = stack.mean(axis=0)
+    sums = map_trajectories(_screen_worker, job, ensemble_size, master_seed, threads,
+                            blocks=cfg.n_batches)
+    mean_intensity = total(sums) / ensemble_size
     v_measured = fringe_contrast(mean_intensity, p_axis, fringe_spacing, cfg.n_fringes)
 
     # batch-means error bar on the contrast ratio
-    batches = np.array_split(stack, cfg.n_batches)
     ratios = []
-    for batch in batches:
-        if len(batch) == 0:
-            continue
+    for batch_sum, batch in zip(sums, block_ranges(ensemble_size, cfg.n_batches)):
         try:
-            v_b = fringe_contrast(batch.mean(axis=0), p_axis, fringe_spacing, cfg.n_fringes)
+            v_b = fringe_contrast(batch_sum / len(batch), p_axis, fringe_spacing,
+                                  cfg.n_fringes)
         except StatisticsError:
             v_b = 0.0
         ratios.append(v_b / v_ideal)
@@ -560,10 +574,15 @@ def _one_packet(cfg: HeatingConfig) -> _Start:
     return _Start.of(grid, gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
 
 
-def _heating_worker(job, master_seed: int, index: int):
-    """One trajectory; returns (sample times, energy, <p^2>, hit count).
+def _heating_times(cfg: HeatingConfig, t_total: float) -> list[float]:
+    """Every sample_every steps of dt_internal, and t_total."""
+    dt = cfg.dt_internal
+    return sample_times(dt, step_count(t_total, dt), cfg.sample_every)
 
-    The samples fall every sample_every steps of dt_internal and at t_total.
+
+def _heating_worker(job, master_seed: int, index: int):
+    """One trajectory; returns (energy, <p^2>, hit count) at _heating_times.
+
     Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m are
     read from the spectrum of the anchor (the state after the last hit),
     and the state itself is never rebuilt at a sample.
@@ -571,10 +590,9 @@ def _heating_worker(job, master_seed: int, index: int):
     cfg, params, t_total, units = job
     rng = trajectory_rng(master_seed, index)
     start = _one_packet(cfg)
-    dt = cfg.dt_internal
-    times = sample_times(dt, step_count(t_total, dt), cfg.sample_every)
+    times = _heating_times(cfg, t_total)
     rate = params.total_rate_internal(units, cfg.mass)
-    evolution = start.flight(dt, cfg.mass)
+    evolution = start.flight(cfg.dt_internal, cfg.mass)
     p2, hits = [], 0
     process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
     for _, evolution, event in process:
@@ -583,7 +601,7 @@ def _heating_worker(job, master_seed: int, index: int):
         else:
             hits += 1
     p2 = np.array(p2)
-    return np.array(times), p2 / (2.0 * cfg.mass), p2, hits
+    return p2 / (2.0 * cfg.mass), p2, hits
 
 
 def heating_experiment(
@@ -604,11 +622,12 @@ def heating_experiment(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
     job = (cfg, params, t_total, units)
-    results = map_trajectories(_heating_worker, job, ensemble_size, master_seed, threads)
-    t = results[0][0]
-    energy = np.stack([r[1] for r in results]).mean(axis=0)
-    p2 = np.stack([r[2] for r in results]).mean(axis=0)
-    hits = float(np.mean([r[3] for r in results]))
+    sum_e, sum_p2, hits = total(map_trajectories(
+        _heating_worker, job, ensemble_size, master_seed, threads
+    ))
+    t = np.array(_heating_times(cfg, t_total))
+    energy = sum_e / ensemble_size
+    p2 = sum_p2 / ensemble_size
 
     slope_e, _, r2_e, err_e = _linear_fit(t, energy)
     slope_p2, _, r2_p2, err_p2 = _linear_fit(t, p2)
@@ -621,7 +640,7 @@ def heating_experiment(
         "slope_p2_analytic": momentum_diffusion_rate(rate, params.r_c),
         "r2_energy": float(r2_e),
         "r2_p2": float(r2_p2),
-        "mean_hits": hits,
+        "mean_hits": hits / ensemble_size,
         "n_trajectories": ensemble_size,
         "seed": master_seed,
     }

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from grwlab.cli import run
+from grwlab.cli import _columns, run, write_csv
 
 
 def _read_manifest(outdir):
@@ -157,6 +158,25 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert b"\r" not in raw  # LF endings only
     a_var = raw.decode().splitlines()[1].split(",")[3]
     assert len(a_var.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_csv_cells_are_pinned(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        (True, 3, "up", 0.1, np.float64(2 / 3), np.bool_(False)),
+        (False, -7, "x y", 1e-300, np.float64(-1.5e20), np.bool_(True)),
+    ]
+    columns = _columns(np.array([0.1, 1 / 3]), np.array([2.0, -0.0]),
+                       np.array([1, 2]), np.array([1e22, 5e-324]),
+                       np.array([True, False]), ["a", "b"])
+    write_csv(path, ["b", "i", "s", "f", "f64", "b_"], rows + list(columns))
+    assert path.read_bytes() == (
+        b"b,i,s,f,f64,b_\n"
+        b"1,3,up,0.10000000000000001,0.66666666666666663,0\n"
+        b"0,-7,x y,1e-300,-1.5e+20,1\n"
+        b"0.10000000000000001,2,1,1e+22,1,a\n"
+        b"0.33333333333333331,-0,2,4.9406564584124654e-324,0,b\n"
+    )
 
 
 def test_threads_env_default(tmp_path, monkeypatch):

@@ -1,20 +1,43 @@
-"""Ensemble execution: ordering, and failures that name their trajectory."""
+"""Ensemble execution: fixed blocks summed in index order, one pool per
+run, and failures that name their trajectory."""
 
 import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from grwlab import ensemble, experiments
 from grwlab.cli import run
 from grwlab.collapse import CollapseParams
-from grwlab.ensemble import map_trajectories
-from grwlab.errors import DecisionTimeoutError, GrwError, ZeroSupportError
-from grwlab.experiments import MeasurementConfig, born_ensemble
+from grwlab.ensemble import block_ranges, map_trajectories
+from grwlab.errors import (
+    BoundsParseError,
+    DecisionTimeoutError,
+    GrwError,
+    SnapshotFormatError,
+    ZeroSupportError,
+)
+from grwlab.experiments import (
+    DecoherenceConfig,
+    MeasurementConfig,
+    VisibilityConfig,
+    born_ensemble,
+    decoherence_scan,
+    visibility_experiment,
+)
 from grwlab.units import convert_rate_to_si
 
 
-def _index(job, master_seed, index):
-    return (job, master_seed, index)
+def _label(job, master_seed, index):
+    # strings add by concatenation, so a block sum spells out its order
+    return f"{job}{master_seed}:{index};"
+
+
+def _rounding(job, master_seed, index):
+    # sums of these depend on the order of the additions in the last bits
+    return np.array([0.1 * 3.0**index, 1.0 / (index + 7)]) * job
 
 
 def _fails_at_two(job, master_seed, index):
@@ -29,9 +52,118 @@ def _dies(job, master_seed, index):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_results_come_in_index_order(threads):
-    assert map_trajectories(_index, "job", 5, 9, threads) == [
-        ("job", 9, i) for i in range(5)
+    # every index once, each block in index order, the blocks in block order
+    assert map_trajectories(_label, "job", 5, 9, threads, blocks=2) == [
+        "job9:0;job9:1;job9:2;", "job9:3;job9:4;"
     ]
+    assert map_trajectories(_label, "job", 5, 9, threads) == [
+        f"job9:{i};" for i in range(5)
+    ]
+
+
+def test_block_ranges_depend_on_n_only():
+    assert block_ranges(7, 3) == [range(0, 3), range(3, 5), range(5, 7)]
+    assert block_ranges(2, 10) == [range(0, 1), range(1, 2)]
+    assert [len(r) for r in block_ranges(96, 10)] == [10] * 6 + [9] * 4
+
+
+def test_block_sums_are_bit_identical_for_any_thread_count():
+    n, blocks = 23, 4  # n is not a multiple of the block count
+    sums = {t: map_trajectories(_rounding, 1.5, n, 0, t, blocks=blocks)
+            for t in (1, 2, 3)}
+    for r, block_sum in zip(block_ranges(n, blocks), sums[1]):
+        expected = _rounding(1.5, 0, r[0])
+        for i in r[1:]:
+            expected = expected + _rounding(1.5, 0, i)
+        assert block_sum.tobytes() == expected.tobytes()
+    for t in (2, 3):
+        assert [s.tobytes() for s in sums[t]] == [s.tobytes() for s in sums[1]]
+
+
+def test_several_ensembles_share_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(ensemble.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+    cfg = DecoherenceConfig(grid_n=512, n_efoldings=1.0, n_samples=4)
+    params = CollapseParams(convert_rate_to_si(2.0), 1.0)
+    pooled = decoherence_scan([0.5, 2.0, 10.0], params, 5, cfg, 3, threads=2)
+    assert len(pools) == 1
+    serial = decoherence_scan([0.5, 2.0, 10.0], params, 5, cfg, 3, threads=1)
+    assert [r.to_json_dict() for r in pooled] == [r.to_json_dict() for r in serial]
+
+
+def test_pooled_scan_builds_each_set_up_once_per_worker(monkeypatch, tmp_path):
+    # blocks leave the pool in order, so no worker returns to a separation
+    real, log = experiments._decoherence_setup, tmp_path / "builds.txt"
+
+    def logged(*args):
+        misses = real.cache_info().misses
+        setup = real(*args)
+        if real.cache_info().misses != misses:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {args[2]}\n")
+        return setup
+
+    monkeypatch.setattr(experiments, "_decoherence_setup", logged)
+    cfg = DecoherenceConfig(grid_n=512, n_efoldings=1.0, n_samples=4)
+    params = CollapseParams(convert_rate_to_si(2.0), 1.0)
+    decoherence_scan([0.5, 2.0, 10.0], params, 40, cfg, 3, threads=2)
+    builds = log.read_text().splitlines()
+    assert len(builds) == len(set(builds)) and {b.split()[1] for b in builds} == {
+        "0.5", "2.0", "10.0"}
+
+
+def test_visibility_memory_does_not_grow_with_n():
+    # the parent holds one summed screen per batch, not one per trajectory
+    params = CollapseParams(convert_rate_to_si(1.0), 4.0)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            visibility_experiment(64.0, params, 1.0, n, VisibilityConfig(), 2, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm the per-process caches
+    assert peak(200) - peak(20) < 1e6
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_error_inside_a_block_names_its_trajectory(threads):
+    with pytest.raises(ZeroSupportError) as info:
+        map_trajectories(_fails_at_two, None, 6, 11, threads, stream=3, blocks=2)
+    message = str(info.value)
+    assert message.startswith("trajectory 2 of seed 11, stream 3: hit on nothing")
+
+
+@pytest.mark.parametrize("exc, attr", [
+    (SnapshotFormatError("bad magic", 3), "offset"),
+    (BoundsParseError("lambda is not a number", 7), "row"),
+])
+def test_errors_with_extra_fields_survive_pickling(exc, attr):
+    # what a pool worker's failure goes through, label included
+    exc.args = (f"trajectory 2 of seed 11: {exc}",)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args
+    assert getattr(back, attr) == getattr(exc, attr)
+
+
+def _raises_snapshot_error(job, master_seed, index):
+    raise SnapshotFormatError("bad magic", 3)
+
+
+def test_pool_returns_an_error_with_extra_fields_as_itself():
+    with pytest.raises(SnapshotFormatError) as info:
+        map_trajectories(_raises_snapshot_error, None, 2, 4, threads=2)
+    assert info.value.offset == 3
+    assert str(info.value) == "trajectory 0 of seed 4: bad magic (at byte offset 3)"
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -144,7 +144,8 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    t, energy, p2, hits = _heating_worker((cfg, params, t_total, DEFAULT_UNITS), 3, 0)
+    energy, p2, hits = _heating_worker((cfg, params, t_total, DEFAULT_UNITS), 3, 0)
+    t = experiments._heating_times(cfg, t_total)
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
     rec = grw_trajectory(psi0, Potential.free(), params, t_total, cfg.dt_internal,
