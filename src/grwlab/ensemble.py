@@ -2,10 +2,11 @@
 
 Workers are module-level functions fn(cfg, master_seed, index) -> result.
 Each index derives its own Philox stream from (master_seed, index).  The
-indices 0..n-1 fall into fixed blocks whose bounds depend on n and the block
-count only; each block sums its results in index order where it runs, and
-the block sums come back in block order, so the outcome is independent of
-thread count and scheduling.  A GrwError raised in a trajectory names it.
+indices 0..n-1 fall into fixed blocks whose bounds depend on n and the
+number of groups the caller asks for, never on the thread count; each block
+sums its results in index order where it runs, and the parent adds the
+block sums in block order, so the outcome is independent of thread count
+and scheduling.  A GrwError raised in a trajectory names it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from itertools import accumulate
 
 from .errors import ConfigError, GrwError, WorkerError
 
-BLOCKS = 16  # per ensemble unless the caller fixes them; 2 per worker at 8 threads
+# Blocks per ensemble, shared evenly by its groups: four per worker at the 8
+# workers "auto" can choose.  A block is the unit of arithmetic; how many
+# blocks one pool task carries (chunks) is chosen per run and changes no sum.
+BLOCKS = 32
+CHUNKS_PER_WORKER = 4
 
 
 def resolve_threads(threads) -> int:
@@ -36,12 +41,18 @@ def resolve_threads(threads) -> int:
     return t
 
 
-def block_ranges(n: int, blocks: int) -> list[range]:
-    """min(n, blocks) consecutive index ranges covering 0..n-1; the first
+def block_ranges(n: int, blocks: int, start: int = 0) -> list[range]:
+    """min(n, blocks) consecutive ranges covering start..start+n-1; the first
     n % blocks are one longer (the sections of np.array_split)."""
     k = min(n, blocks)
-    ends = [0, *accumulate(n // k + (j < n % k) for j in range(k))]
+    ends = list(accumulate((n // k + (j < n % k) for j in range(k)), initial=start))
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def group_blocks(n: int, groups: int) -> list[list[range]]:
+    """The blocks of each of the groups block_ranges(n, groups)."""
+    per_group = -(-BLOCKS // groups)
+    return [block_ranges(len(g), per_group, g.start) for g in block_ranges(n, groups)]
 
 
 def _add(a, b):
@@ -52,7 +63,7 @@ def _add(a, b):
 
 
 def total(parts):
-    """Sum of block sums (or of any results) in the order given."""
+    """Sum of partial sums (or of any results) in the order given."""
     return reduce(_add, parts)
 
 
@@ -74,36 +85,45 @@ def _block_sum(args):
 
 
 def map_trajectories(
-    fn, cfg, n: int, master_seed: int, threads: int = 1,
-    stream: int | list[int] | None = None, blocks: int = BLOCKS,
-) -> list:
-    """Block sums of fn(cfg, master_seed, i) over i = 0..n-1, in block order
-    (block_ranges(n, blocks)); the same bytes for any thread count.
+    fn, ensembles: list[tuple], n: int, master_seed: int, threads: int = 1,
+    groups: int = 1,
+) -> list[list]:
+    """Group sums of fn(job, master_seed, i) over i = 0..n-1 for each
+    (job, stream) in ensembles, all run in one process pool.
 
-    stream is the stream tag fn's trajectories draw from, if any; it only
-    labels a failure.  Several ensembles of n share one process pool when
-    cfg and stream are lists of equal length, ensemble j running job cfg[j]
-    under tag stream[j]; the result is then one list of block sums per job.
+    The result holds, per ensemble, the sums over the groups
+    block_ranges(n, groups) in group order; each group is the sum of its
+    group_blocks in block order.  stream is the tag the job's trajectories
+    draw from, or None; it only labels a failure.  The same bytes come back
+    for any thread count.
     """
     if n < 1:
         raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
-    several = isinstance(stream, list)
-    ensembles = list(zip(cfg, stream)) if several else [(cfg, stream)]
-    ranges = block_ranges(n, blocks)
-    tasks = [(fn, job, master_seed, tag, r) for job, tag in ensembles for r in ranges]
-    threads = min(resolve_threads(threads), len(tasks))
-    if threads <= 1:
-        sums = [_block_sum(task) for task in tasks]
-    else:
-        # tasks leave in submission order, so a worker meets the ensembles
-        # one after another and builds each one's set-up at most once
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                sums = list(ex.map(_block_sum, tasks))
-        except BrokenProcessPool as exc:
-            raise WorkerError(
-                f"a worker process died in the ensemble of seed {master_seed}: {exc}"
-            ) from exc
-    k = len(ranges)
-    per_ensemble = [sums[j * k:(j + 1) * k] for j in range(len(ensembles))]
-    return per_ensemble if several else per_ensemble[0]
+    layout = group_blocks(n, groups)
+    keys, tasks = [], []
+    for e, (job, tag) in enumerate(ensembles):
+        for g, blocks in enumerate(layout):
+            for r in blocks:
+                keys.append((e, g))
+                tasks.append((fn, job, master_seed, tag, r))
+    sums = [[None] * len(layout) for _ in ensembles]
+
+    def combine(parts):
+        for (e, g), part in zip(keys, parts):
+            sums[e][g] = part if sums[e][g] is None else _add(sums[e][g], part)
+
+    workers = min(resolve_threads(threads), len(tasks))
+    if workers <= 1:
+        combine(map(_block_sum, tasks))
+        return sums
+    # tasks leave in submission order, so a worker meets the ensembles one
+    # after another and builds each one's set-up at most once
+    chunksize = max(1, len(tasks) // (CHUNKS_PER_WORKER * workers))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            combine(ex.map(_block_sum, tasks, chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        raise WorkerError(
+            f"a worker process died in the ensemble of seed {master_seed}: {exc}"
+        ) from exc
+    return sums

@@ -199,9 +199,9 @@ def born_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> EnsembleReport:
-    n_up = total(map_trajectories(
-        _born_worker, (cfg, params), n_trajectories, master_seed, threads
-    ))
+    [[n_up]] = map_trajectories(
+        _born_worker, [((cfg, params), None)], n_trajectories, master_seed, threads
+    )
     n = n_trajectories
     freq = n_up / n
     stderr = float(np.sqrt(max(freq * (1 - freq), 1e-12) / n))
@@ -332,12 +332,10 @@ def decoherence_scan(
     tag j.
     """
     n = ensemble_size
-    jobs = [(cfg, params, float(d), units, j) for j, d in enumerate(separations)]
-    scans = map_trajectories(_coherence_terms, jobs, n, master_seed, threads,
-                             stream=list(range(len(jobs))))
+    ensembles = [((cfg, params, float(d), units, j), j) for j, d in enumerate(separations)]
+    scans = map_trajectories(_coherence_terms, ensembles, n, master_seed, threads)
     reports = []
-    for d, sums in zip(separations, scans):
-        sum_c, sum_x, sum_x2 = total(sums)
+    for d, [(sum_c, sum_x, sum_x2)] in zip(separations, scans):
         t = np.array(_decoherence_grid(cfg, params, d, units)[1])
         mean_c = np.abs(sum_c / n)
         gamma_analytic = units.rate_to_internal(effective_reduction_rate(d, params))
@@ -516,10 +514,10 @@ def visibility_experiment(
     ideal = _screen_worker(job0, master_seed, 0)
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
-    # the batch-means batches are the ensemble's blocks: one summed screen each
+    # the batch-means batches are the ensemble's groups: one summed screen each
     job = (cfg, params, d, t_flight, units)
-    sums = map_trajectories(_screen_worker, job, ensemble_size, master_seed, threads,
-                            blocks=cfg.n_batches)
+    [sums] = map_trajectories(_screen_worker, [(job, None)], ensemble_size,
+                              master_seed, threads, groups=cfg.n_batches)
     mean_intensity = total(sums) / ensemble_size
     v_measured = fringe_contrast(mean_intensity, p_axis, fringe_spacing, cfg.n_fringes)
 
@@ -622,9 +620,9 @@ def heating_experiment(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
     job = (cfg, params, t_total, units)
-    sum_e, sum_p2, hits = total(map_trajectories(
-        _heating_worker, job, ensemble_size, master_seed, threads
-    ))
+    [[(sum_e, sum_p2, hits)]] = map_trajectories(
+        _heating_worker, [(job, None)], ensemble_size, master_seed, threads
+    )
     t = np.array(_heating_times(cfg, t_total))
     energy = sum_e / ensemble_size
     p2 = sum_p2 / ensemble_size

@@ -1,6 +1,7 @@
 """Ensemble execution: fixed blocks summed in index order, one pool per
 run, and failures that name their trajectory."""
 
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from grwlab import ensemble, experiments
 from grwlab.cli import run
 from grwlab.collapse import CollapseParams
-from grwlab.ensemble import block_ranges, map_trajectories
+from grwlab.ensemble import BLOCKS, block_ranges, group_blocks, map_trajectories
 from grwlab.errors import (
     BoundsParseError,
     DecisionTimeoutError,
@@ -50,32 +51,50 @@ def _dies(job, master_seed, index):
     os._exit(3)
 
 
+def _spelled(job, indices):
+    return "".join(_label(job, 9, i) for i in indices)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_results_come_in_index_order(threads):
-    # every index once, each block in index order, the blocks in block order
-    assert map_trajectories(_label, "job", 5, 9, threads, blocks=2) == [
-        "job9:0;job9:1;job9:2;", "job9:3;job9:4;"
+    # strings concatenate, so a group sum spells out every index once, in
+    # index order, whatever the blocks and the chunks a pool hands out
+    assert map_trajectories(_label, [("job", None)], 5, 9, threads, groups=2) == [
+        ["job9:0;job9:1;job9:2;", "job9:3;job9:4;"]
     ]
-    assert map_trajectories(_label, "job", 5, 9, threads) == [
-        f"job9:{i};" for i in range(5)
+    n = 3 * BLOCKS + 5  # blocks of 3 and 4 indices
+    assert map_trajectories(_label, [("a", 0), ("b", 1)], n, 9, threads) == [
+        [_spelled("a", range(n))], [_spelled("b", range(n))]
     ]
 
 
 def test_block_ranges_depend_on_n_only():
     assert block_ranges(7, 3) == [range(0, 3), range(3, 5), range(5, 7)]
     assert block_ranges(2, 10) == [range(0, 1), range(1, 2)]
+    assert block_ranges(5, 2, start=10) == [range(10, 13), range(13, 15)]
     assert [len(r) for r in block_ranges(96, 10)] == [10] * 6 + [9] * 4
+    # visibility's 10 batches of 96 each fall into 4 blocks of 2 or 3
+    layout = group_blocks(96, 10)
+    assert [range(b[0].start, b[-1].stop) for b in layout] == block_ranges(96, 10)
+    assert [len(r) for b in layout for r in b] == [3, 3, 2, 2] * 6 + [3, 2, 2, 2] * 4
+    assert len(group_blocks(10**6, 1)[0]) == BLOCKS
 
 
 def test_block_sums_are_bit_identical_for_any_thread_count():
-    n, blocks = 23, 4  # n is not a multiple of the block count
-    sums = {t: map_trajectories(_rounding, 1.5, n, 0, t, blocks=blocks)
+    n, groups = 83, 4  # n is not a multiple of the group or block count
+    sums = {t: map_trajectories(_rounding, [(1.5, None)], n, 0, t, groups=groups)[0]
             for t in (1, 2, 3)}
-    for r, block_sum in zip(block_ranges(n, blocks), sums[1]):
-        expected = _rounding(1.5, 0, r[0])
-        for i in r[1:]:
-            expected = expected + _rounding(1.5, 0, i)
-        assert block_sum.tobytes() == expected.tobytes()
+    for blocks, group_sum in zip(group_blocks(n, groups), sums[1]):
+        partials = []
+        for r in blocks:
+            partial = _rounding(1.5, 0, r[0])
+            for i in r[1:]:
+                partial = partial + _rounding(1.5, 0, i)
+            partials.append(partial)
+        expected = partials[0]
+        for partial in partials[1:]:
+            expected = expected + partial
+        assert group_sum.tobytes() == expected.tobytes()
     for t in (2, 3):
         assert [s.tobytes() for s in sums[t]] == [s.tobytes() for s in sums[1]]
 
@@ -97,6 +116,8 @@ def test_several_ensembles_share_one_pool(monkeypatch):
     assert [r.to_json_dict() for r in pooled] == [r.to_json_dict() for r in serial]
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the parent's patch only when forked")
 def test_pooled_scan_builds_each_set_up_once_per_worker(monkeypatch, tmp_path):
     # blocks leave the pool in order, so no worker returns to a separation
     real, log = experiments._decoherence_setup, tmp_path / "builds.txt"
@@ -137,7 +158,7 @@ def test_visibility_memory_does_not_grow_with_n():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_error_inside_a_block_names_its_trajectory(threads):
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, None, 6, 11, threads, stream=3, blocks=2)
+        map_trajectories(_fails_at_two, [(None, 3)], 6, 11, threads, groups=2)
     message = str(info.value)
     assert message.startswith("trajectory 2 of seed 11, stream 3: hit on nothing")
 
@@ -161,7 +182,7 @@ def _raises_snapshot_error(job, master_seed, index):
 
 def test_pool_returns_an_error_with_extra_fields_as_itself():
     with pytest.raises(SnapshotFormatError) as info:
-        map_trajectories(_raises_snapshot_error, None, 2, 4, threads=2)
+        map_trajectories(_raises_snapshot_error, [(None, None)], 2, 4, threads=2)
     assert info.value.offset == 3
     assert str(info.value) == "trajectory 0 of seed 4: bad magic (at byte offset 3)"
 
@@ -169,7 +190,7 @@ def test_pool_returns_an_error_with_extra_fields_as_itself():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_worker_error_names_trajectory_seed_and_stream(threads):
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, None, 4, 11, threads, stream=3)
+        map_trajectories(_fails_at_two, [(None, 3)], 4, 11, threads)
     message = str(info.value)
     assert "trajectory 2" in message and "seed 11" in message
     assert "stream 3" in message and "hit on nothing" in message
@@ -202,4 +223,4 @@ def test_cli_reports_the_failing_trial(tmp_path, capsys):
 
 def test_dead_worker_is_a_grw_error():
     with pytest.raises(GrwError, match="worker process"):
-        map_trajectories(_dies, None, 2, 0, threads=2)
+        map_trajectories(_dies, [(None, None)], 2, 0, threads=2)
