@@ -4,7 +4,7 @@ mass-proportional rate scaling)."""
 
 __version__ = "0.1.0"
 
-from .units import DEFAULT_UNITS, UnitSystem, convert_rate, convert_rate_to_si
+from .units import DEFAULT_UNITS, UnitSystem, convert_rate_to_si
 from .qstate import (
     Grid1D,
     WaveFunction,
@@ -29,7 +29,6 @@ from .rngstream import trajectory_rng
 __all__ = [
     "DEFAULT_UNITS",
     "UnitSystem",
-    "convert_rate",
     "convert_rate_to_si",
     "Grid1D",
     "WaveFunction",

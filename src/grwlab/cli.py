@@ -87,6 +87,14 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_report(outdir: Path, csv_name: str, report) -> list[str]:
+    """An experiment's Report: its table as csv_name, its fields as report.json."""
+    header, columns = report.table
+    write_csv(outdir / csv_name, header, _columns(*columns))
+    write_json(outdir / "report.json", report)
+    return [csv_name, "report.json"]
+
+
 # ---------------------------------------------------------------------------
 # Inputs: one table per subcommand
 # ---------------------------------------------------------------------------
@@ -341,13 +349,7 @@ def cmd_born(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     cfg = _config(MeasurementConfig, v, c_up=np.sqrt(p_up), c_down=np.sqrt(1.0 - p_up))
     params = CollapseParams(v["lambda"], v["rc"], cfg.pointer_n_nucleons)
     report = born_ensemble(cfg, params, v["n_traj"], seed, threads)
-    write_json(outdir / "report.json", report.to_json_dict())
-    write_csv(
-        outdir / "counts.csv",
-        ["outcome", "count"],
-        sorted(report.outcome_counts.items()),
-    )
-    return ["report.json", "counts.csv"]
+    return _write_report(outdir, "counts.csv", report)
 
 
 def cmd_decohere(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
@@ -367,13 +369,12 @@ def cmd_decohere(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
             for r, d, rep in zip(ratios, separations, reports)
         ),
     )
-    write_json(outdir / "reports.json",
-               {"scan": [rep.to_json_dict() for rep in reports]})
+    write_json(outdir / "reports.json", {"scan": reports})
     return ["scan.csv", "reports.json"]
 
 
 def cmd_visibility(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
-    result = visibility_experiment(
+    report = visibility_experiment(
         v["d_internal"],
         _collapse_params(v),
         v["t_flight"],
@@ -381,36 +382,20 @@ def cmd_visibility(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
         _config(VisibilityConfig, v),
         seed,
         threads,
-        keep_screen=True,
     )
-    screen = result.pop("screen")
-    write_csv(
-        outdir / "screen.csv",
-        ["p", "intensity_mean", "intensity_ideal"],
-        _columns(screen["p"], screen["mean"], screen["ideal"]),
-    )
-    write_json(outdir / "report.json", result)
-    return ["screen.csv", "report.json"]
+    return _write_report(outdir, "screen.csv", report)
 
 
 def cmd_heating(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
-    result = heating_experiment(
+    report = heating_experiment(
         _collapse_params(v),
         v["t_total"],
         v["n_traj"],
         _config(HeatingConfig, v),
         seed,
         threads,
-        keep_curves=True,
     )
-    curves = result.pop("curves")
-    write_csv(
-        outdir / "curves.csv",
-        ["t", "mean_energy", "mean_p2"],
-        _columns(curves["t"], curves["energy"], curves["p2"]),
-    )
-    write_json(outdir / "report.json", result)
-    return ["curves.csv", "report.json"]
+    return _write_report(outdir, "curves.csv", report)
 
 
 def cmd_exclusion(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:

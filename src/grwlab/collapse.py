@@ -22,7 +22,7 @@ from .errors import DomainError, ZeroSupportError
 from .qstate import Grid1D, WaveFunction, observables
 from .propagator import Potential, flight
 from .rngstream import exponential_variate
-from .units import DEFAULT_UNITS, UnitSystem
+from .units import DEFAULT_UNITS
 
 MIN_HIT_WEIGHT = 1e-300
 
@@ -57,10 +57,8 @@ class CollapseParams:
             return mass_in_mN * self.lambda_si
         return self.n_nucleons * self.lambda_si
 
-    def total_rate_internal(
-        self, units: UnitSystem = DEFAULT_UNITS, mass_in_mN: float | None = None
-    ) -> float:
-        return units.rate_to_internal(self.total_rate_si(mass_in_mN))
+    def total_rate_internal(self, mass_in_mN: float | None = None) -> float:
+        return DEFAULT_UNITS.rate_to_internal(self.total_rate_si(mass_in_mN))
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,6 @@ def grw_trajectory(
     dt: float,
     sample_every: int,
     rng: np.random.Generator,
-    units: UnitSystem = DEFAULT_UNITS,
     seed: int = 0,
 ) -> TrajectoryRecord:
     """One GRW trajectory (see grw_process) over t_total, covered by steps of dt.
@@ -287,7 +284,7 @@ def grw_trajectory(
     n_steps = step_count(t_total, dt)
     if sample_every < 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every}")
-    rate = params.total_rate_internal(units, psi0.mass)
+    rate = params.total_rate_internal(psi0.mass)
     times = sample_times(dt, n_steps, sample_every)
     evolution = flight(psi0.grid, v, dt, psi0.mass, psi0.amps[None])
 

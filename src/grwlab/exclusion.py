@@ -9,7 +9,6 @@ log-log raster.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -124,36 +123,6 @@ def _parse_bounds(fh) -> list[BoundCurve]:
     if not curves:
         warnings.warn("empty bounds table: exclusion diagram is all-allowed")
     return curves
-
-
-def interference_bound(
-    n_nucleons: float, t_flight: float, v_min: float, d: float, r_c: float
-) -> float:
-    """Largest lambda compatible with observed fringe visibility >= v_min.
-
-    lambda_max = -ln(v_min) / (N t (1 - exp(-d^2/4 r_c^2))); d and r_c in
-    the same (arbitrary) length unit.  d = 0 gives an infinite, useless
-    bound, returned as inf so callers can flag and drop it.
-    """
-    if n_nucleons <= 0 or t_flight <= 0 or r_c <= 0 or d < 0:
-        raise DomainError("inputs must be positive (d may be zero)")
-    if not (0 < v_min < 1):
-        raise DomainError(f"v_min must be in (0, 1), got {v_min}")
-    suppression = -math.expm1(-(d**2) / (4.0 * r_c**2))
-    if suppression == 0.0:
-        return math.inf
-    return -math.log(v_min) / (n_nucleons * t_flight * suppression)
-
-
-def heating_bound_internal(
-    p_max: float, mass: float, r_c: float, dims: int = 1, hbar: float = 1.0
-) -> float:
-    """Inverse of the heating law: lambda_max = p_max 4 m r_c^2/(dims hbar^2)."""
-    if p_max <= 0 or mass <= 0 or r_c <= 0:
-        raise DomainError("inputs must be positive")
-    if dims not in (1, 3):
-        raise DomainError(f"dims must be 1 or 3, got {dims}")
-    return p_max * 4.0 * mass * r_c**2 / (dims * hbar**2)
 
 
 @dataclass

@@ -8,7 +8,7 @@ of thread count; see ensemble.map_trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,32 +21,32 @@ from .collapse import (
     step_count,
 )
 from .ensemble import block_ranges, map_trajectories, total
-from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
+from .errors import ConfigError, DecisionTimeoutError, StatisticsError
 from .propagator import Potential, drift_phase, flight
 from .qstate import Grid1D, WaveFunction, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .rngstream import trajectory_rng
-from .units import DEFAULT_UNITS, UnitSystem
+from .units import DEFAULT_UNITS
 
 
-@dataclass
-class EnsembleReport:
-    n_trajectories: int
-    outcome_counts: dict[str, int]
-    estimate: float
-    stderr: float
-    fit_diagnostics: dict[str, float]
-    seed: int
+class Report(dict):
+    """The result of an ensemble experiment.
 
-    def __post_init__(self):
-        total = sum(self.outcome_counts.values())
-        if self.outcome_counts and total != self.n_trajectories:
-            raise DomainError(
-                f"outcome counts sum to {total}, expected {self.n_trajectories}"
-            )
+    Its items are the fields of the experiment's report.json, also read as
+    attributes (report.estimate).  .table = (header, columns) is its CSV
+    table, which neither equality nor JSON sees.
+    """
+
+    table = None
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,6 @@ def born_trial(
     cfg: MeasurementConfig,
     params: CollapseParams,
     rng: np.random.Generator,
-    units: UnitSystem = DEFAULT_UNITS,
 ) -> str:
     """One measurement trial; returns "up" or "down".
 
@@ -165,7 +164,7 @@ def born_trial(
     """
     start = _initial_hybrid(cfg)
     grid, amps = start.grid, start.rows
-    rate = params.total_rate_internal(units)
+    rate = params.total_rate_internal()
     if rate <= 0:
         raise ConfigError("born_trial needs a positive total collapse rate")
     dt = cfg.hit_resolution / rate
@@ -198,7 +197,7 @@ def born_ensemble(
     n_trajectories: int,
     master_seed: int,
     threads: int = 1,
-) -> EnsembleReport:
+) -> Report:
     [[n_up]] = map_trajectories(
         _born_worker, [((cfg, params), None)], n_trajectories, master_seed, threads
     )
@@ -213,7 +212,7 @@ def born_ensemble(
         p_value = math.erfc(math.sqrt(chi2 / 2.0))  # chi-square sf, 1 dof
     else:
         chi2, p_value = 0.0, 1.0
-    return EnsembleReport(
+    report = Report(
         n_trajectories=n,
         outcome_counts={"up": n_up, "down": n - n_up},
         estimate=freq,
@@ -221,6 +220,8 @@ def born_ensemble(
         fit_diagnostics={"p_up_expected": p_up, "chi2": chi2, "p_value": p_value},
         seed=master_seed,
     )
+    report.table = (["outcome", "count"], (["down", "up"], [n - n_up, n_up]))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +244,11 @@ class DecoherenceConfig:
         _require_positive(self, "hit_resolution", "n_efoldings", "n_samples")
 
 
-def _decoherence_grid(cfg: DecoherenceConfig, params, d, units):
+def _decoherence_grid(cfg: DecoherenceConfig, params, d):
     """(dt, sample times) of a run over n_efoldings of Gamma(d): steps of dt,
     sampled every (steps // n_samples)-th step and at the last."""
-    rate = params.total_rate_internal(units)
-    gamma = units.rate_to_internal(effective_reduction_rate(d, params))
+    rate = params.total_rate_internal()
+    gamma = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
     t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
     dt = cfg.hit_resolution / rate
     n_steps = max(1, int(round(t_total / dt)))
@@ -273,11 +274,11 @@ class _DecoherenceSetup:
 
 
 @lru_cache(maxsize=1)  # separations run one after another
-def _decoherence_setup(cfg: DecoherenceConfig, params, d: float, units) -> _DecoherenceSetup:
+def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _DecoherenceSetup:
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     phi_l, phi_r = _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
-    dt, times = _decoherence_grid(cfg, params, d, units)
+    dt, times = _decoherence_grid(cfg, params, d)
     phases = np.stack([drift_phase(grid, t, cfg.mass) for t in times])
     spectra = np.fft.fft(np.stack([phi_l.amps, phi_r.amps]))
     packets = np.conj(spectra) * (grid.dx / grid.n_points)
@@ -292,10 +293,10 @@ def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
     are read in k space from the anchor's spectrum drifted back to t = 0
     (FreeFlight.origin_spectrum, one per anchor) and the set-up's tables.
     """
-    cfg, params, d, units, stream = job
+    cfg, params, d, stream = job
     rng = trajectory_rng(master_seed, index, stream)
-    setup = _decoherence_setup(cfg, params, d, units)
-    rate = params.total_rate_internal(units)
+    setup = _decoherence_setup(cfg, params, d)
+    rate = params.total_rate_internal()
     evolution = setup.start.flight(setup.dt, cfg.mass)
     out = []
     process = grw_process(evolution, rate, params.r_c, setup.times[-1], setup.times, rng)
@@ -324,21 +325,20 @@ def decoherence_scan(
     cfg: DecoherenceConfig,
     master_seed: int,
     threads: int = 1,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> list[EnsembleReport]:
+) -> list[Report]:
     """Fit exp(-Gamma t) to ensemble-averaged branch coherence per separation.
 
     All separations run in one process pool; separation j draws from stream
     tag j.
     """
     n = ensemble_size
-    ensembles = [((cfg, params, float(d), units, j), j) for j, d in enumerate(separations)]
+    ensembles = [((cfg, params, float(d), j), j) for j, d in enumerate(separations)]
     scans = map_trajectories(_coherence_terms, ensembles, n, master_seed, threads)
     reports = []
     for d, [(sum_c, sum_x, sum_x2)] in zip(separations, scans):
-        t = np.array(_decoherence_grid(cfg, params, d, units)[1])
+        t = np.array(_decoherence_grid(cfg, params, d)[1])
         mean_c = np.abs(sum_c / n)
-        gamma_analytic = units.rate_to_internal(effective_reduction_rate(d, params))
+        gamma_analytic = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
         if gamma_analytic > 0:
             slope, intercept, r2, slope_err = _linear_fit(t, np.log(mean_c))
             gamma_fit, gamma_err = -slope, slope_err
@@ -348,7 +348,7 @@ def decoherence_scan(
             var_last = max(sum_x2 - sum_x * sum_x / n, 0.0) / (n - 1)
             sem = float(np.sqrt(var_last / n))
             gamma_fit, gamma_err, r2 = -drift, sem / mean_c[0] / (t[-1] - t[0]), 1.0
-        reports.append(EnsembleReport(
+        reports.append(Report(
             n_trajectories=ensemble_size,
             outcome_counts={},
             estimate=float(gamma_fit),
@@ -430,10 +430,10 @@ def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
 
 
 def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
-    cfg, params, d, t_flight, units = job
+    cfg, params, d, t_flight = job
     rng = trajectory_rng(master_seed, index)
     start = _two_arms(cfg, d)
-    rate = params.total_rate_internal(units, cfg.mass)
+    rate = params.total_rate_internal(cfg.mass)
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
     t_end = step_count(t_flight, dt) * dt
     evolution = start.flight(dt, cfg.mass)
@@ -477,9 +477,7 @@ def visibility_experiment(
     cfg: VisibilityConfig,
     master_seed: int,
     threads: int = 1,
-    units: UnitSystem = DEFAULT_UNITS,
-    keep_screen: bool = False,
-) -> dict:
+) -> Report:
     """Ensemble-averaged far-field pattern vs the no-collapse control.
 
     The far-field fringe period is 2 pi / d; its contrast tracks the
@@ -510,12 +508,12 @@ def visibility_experiment(
 
     # no-collapse control is deterministic: a single trajectory suffices
     control_params = CollapseParams(0.0, params.r_c, params.n_nucleons)
-    job0 = (cfg, control_params, d, t_flight, units)
+    job0 = (cfg, control_params, d, t_flight)
     ideal = _screen_worker(job0, master_seed, 0)
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
     # the batch-means batches are the ensemble's groups: one summed screen each
-    job = (cfg, params, d, t_flight, units)
+    job = (cfg, params, d, t_flight)
     [sums] = map_trajectories(_screen_worker, [(job, None)], ensemble_size,
                               master_seed, threads, groups=cfg.n_batches)
     mean_intensity = total(sums) / ensemble_size
@@ -533,20 +531,20 @@ def visibility_experiment(
     ratios = np.asarray(ratios)
     stderr = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
 
-    v_analytic = visibility_analytic(d, params, units.time_to_si(t_flight))
-    result = {
-        "V_measured": float(v_measured),
-        "V_ideal": float(v_ideal),
-        "ratio": float(v_measured / v_ideal),
-        "ratio_stderr": stderr,
-        "V_analytic": v_analytic,
-        "fringe_spacing": float(fringe_spacing),
-        "n_trajectories": ensemble_size,
-        "seed": master_seed,
-    }
-    if keep_screen:
-        result["screen"] = {"p": p_axis, "mean": mean_intensity, "ideal": ideal}
-    return result
+    t_si = DEFAULT_UNITS.time_to_si(t_flight)
+    report = Report(
+        V_measured=float(v_measured),
+        V_ideal=float(v_ideal),
+        ratio=float(v_measured / v_ideal),
+        ratio_stderr=stderr,
+        V_analytic=visibility_analytic(d, params, t_si, cfg.mass),
+        fringe_spacing=float(fringe_spacing),
+        n_trajectories=ensemble_size,
+        seed=master_seed,
+    )
+    report.table = (["p", "intensity_mean", "intensity_ideal"],
+                    (p_axis, mean_intensity, ideal))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +583,11 @@ def _heating_worker(job, master_seed: int, index: int):
     read from the spectrum of the anchor (the state after the last hit),
     and the state itself is never rebuilt at a sample.
     """
-    cfg, params, t_total, units = job
+    cfg, params, t_total = job
     rng = trajectory_rng(master_seed, index)
     start = _one_packet(cfg)
     times = _heating_times(cfg, t_total)
-    rate = params.total_rate_internal(units, cfg.mass)
+    rate = params.total_rate_internal(cfg.mass)
     evolution = start.flight(cfg.dt_internal, cfg.mass)
     p2, hits = [], 0
     process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
@@ -609,17 +607,15 @@ def heating_experiment(
     cfg: HeatingConfig,
     master_seed: int,
     threads: int = 1,
-    units: UnitSystem = DEFAULT_UNITS,
-    keep_curves: bool = False,
-) -> dict:
+) -> Report:
     """Linear fit of ensemble-mean energy and <p^2> growth vs time."""
     _check_positive("t_total", t_total)
-    rate = params.total_rate_internal(units, cfg.mass)
+    rate = params.total_rate_internal(cfg.mass)
     if rate * t_total < 5.0:
         raise StatisticsError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
-    job = (cfg, params, t_total, units)
+    job = (cfg, params, t_total)
     [[(sum_e, sum_p2, hits)]] = map_trajectories(
         _heating_worker, [(job, None)], ensemble_size, master_seed, threads
     )
@@ -629,19 +625,18 @@ def heating_experiment(
 
     slope_e, _, r2_e, err_e = _linear_fit(t, energy)
     slope_p2, _, r2_p2, err_p2 = _linear_fit(t, p2)
-    result = {
-        "slope_energy": float(slope_e),
-        "slope_energy_stderr": float(err_e),
-        "slope_energy_analytic": heating_rate(rate, cfg.mass, params.r_c),
-        "slope_p2": float(slope_p2),
-        "slope_p2_stderr": float(err_p2),
-        "slope_p2_analytic": momentum_diffusion_rate(rate, params.r_c),
-        "r2_energy": float(r2_e),
-        "r2_p2": float(r2_p2),
-        "mean_hits": hits / ensemble_size,
-        "n_trajectories": ensemble_size,
-        "seed": master_seed,
-    }
-    if keep_curves:
-        result["curves"] = {"t": t, "energy": energy, "p2": p2}
-    return result
+    report = Report(
+        slope_energy=float(slope_e),
+        slope_energy_stderr=float(err_e),
+        slope_energy_analytic=heating_rate(rate, cfg.mass, params.r_c),
+        slope_p2=float(slope_p2),
+        slope_p2_stderr=float(err_p2),
+        slope_p2_analytic=momentum_diffusion_rate(rate, params.r_c),
+        r2_energy=float(r2_e),
+        r2_p2=float(r2_p2),
+        mean_hits=hits / ensemble_size,
+        n_trajectories=ensemble_size,
+        seed=master_seed,
+    )
+    report.table = (["t", "mean_energy", "mean_p2"], (t, energy, p2))
+    return report

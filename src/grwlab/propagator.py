@@ -21,14 +21,12 @@ from .qstate import Grid1D, WaveFunction, k_squared
 class PotentialKind(Enum):
     FREE = "free"
     HARMONIC = "harmonic"
-    TABULATED = "tabulated"
 
 
 @dataclass(frozen=True)
 class Potential:
     kind: PotentialKind
     omega: float = 0.0
-    table: np.ndarray | None = None
 
     @classmethod
     def free(cls) -> "Potential":
@@ -40,25 +38,10 @@ class Potential:
             raise DomainError(f"harmonic omega must be positive, got {omega}")
         return cls(PotentialKind.HARMONIC, omega=omega)
 
-    @classmethod
-    def tabulated(cls, values: np.ndarray) -> "Potential":
-        values = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise DomainError("tabulated potential has non-finite values")
-        return cls(PotentialKind.TABULATED, table=values)
-
     def values(self, grid: Grid1D, mass: float) -> np.ndarray:
         if self.kind is PotentialKind.FREE:
             return np.zeros(grid.n_points)
-        if self.kind is PotentialKind.HARMONIC:
-            return 0.5 * mass * self.omega**2 * grid.x**2
-        assert self.table is not None
-        if self.table.shape != (grid.n_points,):
-            raise DomainError(
-                f"tabulated potential length {self.table.shape[0]} "
-                f"!= grid n_points {grid.n_points}"
-            )
-        return self.table
+        return 0.5 * mass * self.omega**2 * grid.x**2
 
 
 def _check_guards(grid: Grid1D, v: np.ndarray, dt: float, mass: float) -> None:

@@ -20,31 +20,22 @@ def amplified_rate(n_nucleons: float, lambda_si: float) -> float:
     return n_nucleons * lambda_si
 
 
-def heating_rate(
-    lambda_rate: float, mass: float, r_c: float, dims: int = 1, hbar: float = 1.0
-) -> float:
-    """Mean energy gain rate dE/dt = dims * lambda * hbar^2 / (4 m r_c^2).
+def heating_rate(lambda_rate: float, mass: float, r_c: float) -> float:
+    """Mean energy gain rate dE/dt = lambda / (4 m r_c^2), internal units.
 
-    Each hit adds hbar^2/(4 m r_c^2) per dimension on average (exactly,
-    state-independently, for the Gaussian localization operator).  Pass SI
-    arguments with hbar=HBAR_SI for watts, or internal units with hbar=1.
+    Each hit adds hbar^2/(4 m r_c^2) on average (exactly,
+    state-independently, for the Gaussian localization operator).
     """
     if lambda_rate < 0 or mass <= 0 or r_c <= 0:
         raise DomainError("require lambda >= 0, mass > 0, r_c > 0")
-    if dims not in (1, 3):
-        raise DomainError(f"dims must be 1 or 3, got {dims}")
-    return dims * lambda_rate * hbar**2 / (4.0 * mass * r_c**2)
+    return lambda_rate / (4.0 * mass * r_c**2)
 
 
-def momentum_diffusion_rate(
-    lambda_rate: float, r_c: float, dims: int = 1, hbar: float = 1.0
-) -> float:
-    """d<p^2>/dt = dims * lambda * hbar^2 / (2 r_c^2); equals 2m * heating."""
+def momentum_diffusion_rate(lambda_rate: float, r_c: float) -> float:
+    """d<p^2>/dt = lambda / (2 r_c^2), internal units; equals 2m * heating."""
     if lambda_rate < 0 or r_c <= 0:
         raise DomainError("require lambda >= 0 and r_c > 0")
-    if dims not in (1, 3):
-        raise DomainError(f"dims must be 1 or 3, got {dims}")
-    return dims * lambda_rate * hbar**2 / (2.0 * r_c**2)
+    return lambda_rate / (2.0 * r_c**2)
 
 
 def visibility_analytic(

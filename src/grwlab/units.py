@@ -43,18 +43,9 @@ class UnitSystem:
             raise DomainError(f"rate must be non-negative, got {rate_internal}")
         return rate_internal / self.time_unit_s
 
-    # --- lengths, masses, times ----------------------------------------
+    # --- lengths and times ---------------------------------------------
     def length_to_internal(self, x_m: float) -> float:
         return x_m / self.length_unit_m
-
-    def length_to_si(self, x_internal: float) -> float:
-        return x_internal * self.length_unit_m
-
-    def mass_to_internal(self, m_kg: float) -> float:
-        return m_kg / self.mass_unit_kg
-
-    def mass_to_si(self, m_internal: float) -> float:
-        return m_internal * self.mass_unit_kg
 
     def time_to_internal(self, t_s: float) -> float:
         return t_s / self.time_unit_s
@@ -62,20 +53,8 @@ class UnitSystem:
     def time_to_si(self, t_internal: float) -> float:
         return t_internal * self.time_unit_s
 
-    # --- energy and power (internal -> SI) ------------------------------
-    def energy_to_si(self, e_internal: float) -> float:
-        return e_internal * HBAR_SI / self.time_unit_s
-
-    def power_to_si(self, p_internal: float) -> float:
-        return p_internal * HBAR_SI / self.time_unit_s**2
-
 
 DEFAULT_UNITS = UnitSystem()
-
-
-def convert_rate(lambda_si: float, units: UnitSystem = DEFAULT_UNITS) -> float:
-    """SI collapse rate (s^-1) -> internal inverse time."""
-    return units.rate_to_internal(lambda_si)
 
 
 def convert_rate_to_si(lambda_internal: float, units: UnitSystem = DEFAULT_UNITS) -> float:

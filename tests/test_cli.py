@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from grwlab.cli import _columns, run, write_csv
+from grwlab.collapse import CollapseParams
+from grwlab.units import convert_rate_to_si
 
 
 def _read_manifest(outdir):
@@ -200,6 +202,39 @@ def test_cli_import_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import grwlab
+
+    for name in grwlab.__all__:
+        assert hasattr(grwlab, name), name
+
+
+def _born_report(seed):
+    from grwlab.experiments import MeasurementConfig, born_ensemble
+
+    cfg = MeasurementConfig(c_up=np.sqrt(0.3), c_down=np.sqrt(0.7))
+    params = CollapseParams(convert_rate_to_si(1.0), 1.0, cfg.pointer_n_nucleons)
+    return born_ensemble(cfg, params, 20, seed)
+
+
+def _heating_report(seed):
+    from grwlab.experiments import HeatingConfig, heating_experiment
+
+    return heating_experiment(CollapseParams(convert_rate_to_si(4.0), 1.0), 5.0, 20,
+                              HeatingConfig(), seed)
+
+
+@pytest.mark.parametrize("argv, experiment", [
+    (["born", "--c-up2", "0.3", "--lambda-internal", "1", "--n-traj", "20"],
+     _born_report),
+    (["heating", "--lambda-internal", "4", "--n-traj", "20"], _heating_report),
+])
+def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
+    assert run(argv + ["--seed", "3", "--threads", "1", "--out", str(tmp_path)]) == 0
+    expected = json.dumps(experiment(3), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "report.json").read_text() == expected
 
 
 @pytest.mark.parametrize("argv", [

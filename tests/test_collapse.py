@@ -18,7 +18,7 @@ from grwlab.errors import DomainError, GridMismatchError
 from grwlab.propagator import Potential, flight, split_step
 from grwlab.qstate import Grid1D, WaveFunction, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
-from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
+from grwlab.units import convert_rate_to_si
 
 GRID = Grid1D.centered(512, 64.0)
 
@@ -280,7 +280,7 @@ def _hit_trajectory(index, t_total=5.0):
     params = _params(4.0, 1.0)
     rec = grw_trajectory(psi, Potential.free(), params, t_total, 0.004, 10**9,
                          trajectory_rng(17, index), seed=17)
-    return rec, params.total_rate_internal(DEFAULT_UNITS, psi.mass)
+    return rec, params.total_rate_internal(psi.mass)
 
 
 def test_hit_times_are_exact_running_sums_of_waiting_times():

@@ -11,11 +11,8 @@ from grwlab.exclusion import (
     BoundKind,
     allowed_region,
     default_bounds_path,
-    heating_bound_internal,
-    interference_bound,
     load_bounds,
 )
-from grwlab.rates import heating_rate
 
 
 def _default():
@@ -76,31 +73,6 @@ def test_loglog_interpolation():
     # constant extrapolation outside
     assert curve.lambda_at(1e-12) == pytest.approx(1e-10, rel=1e-12)
     assert curve.lambda_at(1e-3) == pytest.approx(1e-6, rel=1e-12)
-
-
-def test_interference_bound_examples():
-    lam = interference_bound(1e4, 10.0, np.exp(-1.0), d=1.0, r_c=1e-6)
-    assert lam == pytest.approx(1e-5, rel=1e-6)
-    # v_min -> 1: no decoherence allowed at all
-    assert interference_bound(1e4, 10.0, 1.0 - 1e-12, 1.0, 1e-6) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    # halving d from 2 r_c to r_c weakens the bound by a known factor
-    rc = 1.0
-    tight = interference_bound(1.0, 1.0, np.exp(-1.0), 2 * rc, rc)
-    loose = interference_bound(1.0, 1.0, np.exp(-1.0), rc, rc)
-    ratio = (1 - np.exp(-1.0)) / (1 - np.exp(-0.25))
-    assert loose / tight == pytest.approx(ratio, rel=1e-9)
-    assert np.isinf(interference_bound(1.0, 1.0, 0.5, 0.0, rc))
-
-
-def test_heating_bound_round_trip():
-    lam0 = 0.37
-    p = heating_rate(lam0, 1.0, 2.0)
-    assert heating_bound_internal(p, 1.0, 2.0) == pytest.approx(lam0, rel=1e-12)
-    assert heating_bound_internal(0.25, 1.0, 1.0) == pytest.approx(1.0)
-    # r_c^2 scaling
-    assert heating_bound_internal(0.25, 1.0, 2.0) == pytest.approx(4.0)
 
 
 def test_default_region_closed_with_8_decade_span():

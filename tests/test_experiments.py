@@ -8,7 +8,6 @@ from grwlab.collapse import CollapseParams, grw_process, grw_trajectory
 from grwlab.errors import ConfigError, StatisticsError
 from grwlab.experiments import (
     DecoherenceConfig,
-    EnsembleReport,
     HeatingConfig,
     MeasurementConfig,
     VisibilityConfig,
@@ -24,7 +23,7 @@ from grwlab.experiments import (
 from grwlab.propagator import Potential, flight
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
 from grwlab.rngstream import trajectory_rng
-from grwlab.units import DEFAULT_UNITS, convert_rate_to_si
+from grwlab.units import convert_rate_to_si
 
 THREADS = 2
 
@@ -122,6 +121,20 @@ def test_visibility_zero_rate_control():
     assert res["V_analytic"] == 1.0
 
 
+def test_report_equality_ignores_its_table():
+    cfg = VisibilityConfig()
+    a, b = (visibility_experiment(64.0, _params(1.0, 4.0), 1.0, 6, cfg, 5)
+            for _ in range(2))
+    header, (p, mean, ideal) = a.table
+    assert header == ["p", "intensity_mean", "intensity_ideal"]
+    assert len(p) == len(mean) == len(ideal) == 8 * cfg.grid_n
+    assert a == b and a.ratio == a["ratio"]
+    b.table = None  # a screen-less report of the same fields
+    assert a == b
+    with pytest.raises(AttributeError):
+        a.screen
+
+
 def test_heating_needs_enough_hits():
     cfg = HeatingConfig()
     with pytest.raises(StatisticsError):
@@ -144,7 +157,7 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    energy, p2, hits = _heating_worker((cfg, params, t_total, DEFAULT_UNITS), 3, 0)
+    energy, p2, hits = _heating_worker((cfg, params, t_total), 3, 0)
     t = experiments._heating_times(cfg, t_total)
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
@@ -155,18 +168,6 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     obs = rec.observables_at_samples
     np.testing.assert_allclose(p2, [o["mean_p2"] for o in obs], rtol=1e-12, atol=0)
     np.testing.assert_allclose(energy, [o["energy"] for o in obs], rtol=1e-12, atol=0)
-
-
-def test_report_rejects_bad_counts():
-    with pytest.raises(Exception):
-        EnsembleReport(
-            n_trajectories=10,
-            outcome_counts={"up": 4, "down": 4},  # does not sum to n
-            estimate=0.4,
-            stderr=0.1,
-            fit_diagnostics={},
-            seed=0,
-        )
 
 
 def _small_scan(separations, master_seed):
@@ -189,24 +190,24 @@ def test_decoherence_scan_accepts_largest_seed():
 
 
 def _decohere_job(d, stream=0):
-    return (DecoherenceConfig(), _params(2.0, 1.0), d, DEFAULT_UNITS, stream)
+    return (DecoherenceConfig(), _params(2.0, 1.0), d, stream)
 
 
 def _x_space_coherence(job, master_seed, index):
     """_coherence_samples the direct way: rebuild psi(t) at each sample and
     take both overlaps in x space.  Returns (samples, hit count)."""
-    cfg, params, d, units, stream = job
+    cfg, params, d, stream = job
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     sigma = cfg.packet_sigma_over_rc * params.r_c
     phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
     phi_r = gaussian_packet(grid, +d / 2.0, 0.0, sigma, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
-    dt, times = experiments._decoherence_grid(cfg, params, d, units)
+    dt, times = experiments._decoherence_grid(cfg, params, d)
     evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
     rng = trajectory_rng(master_seed, index, stream)
     out, hits = [], 0
     for t, evolution, event in grw_process(
-        evolution, params.total_rate_internal(units), params.r_c, times[-1], times, rng
+        evolution, params.total_rate_internal(), params.r_c, times[-1], times, rng
     ):
         if event is None:
             psi_t = psi.with_amps(evolution.at(t)[0])
@@ -259,7 +260,7 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
 
 def test_ensemble_set_up_is_read_only():
     job = _decohere_job(2.0)
-    setup = experiments._decoherence_setup(*job[:4])
+    setup = experiments._decoherence_setup(*job[:3])
     arrays = [setup.start.rows, setup.start.spectrum, setup.phases, setup.packets]
     before = [a.copy() for a in arrays]
     experiments._coherence_samples(job, 2, 0)
@@ -270,3 +271,14 @@ def test_ensemble_set_up_is_read_only():
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5))
     start = experiments._initial_hybrid(cfg)
     assert not (start.rows.flags.writeable or start.spectrum.flags.writeable)
+
+
+def test_mass_scaled_visibility_matches_the_same_rate_by_nucleon_count():
+    # with mass_scaling the rate is mass * lambda: the closed form needs the
+    # mass too, and the run equals one at n_nucleons = mass
+    cfg = VisibilityConfig()
+    scaled = _params(1e-6, 4.0, mass_scaling=True)
+    counted = _params(1e-6, 4.0, n_nucleons=cfg.mass)
+    res = visibility_experiment(64.0, scaled, 1.0, 4, cfg, 9)
+    assert res == visibility_experiment(64.0, counted, 1.0, 4, cfg, 9)
+    assert res["V_analytic"] < 1.0

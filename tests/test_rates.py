@@ -22,9 +22,8 @@ def test_amplification_examples():
 
 
 def test_heating_rate_formula():
-    # dE/dt = dims lambda hbar^2 / (4 m r_c^2), internal units
+    # dE/dt = lambda hbar^2 / (4 m r_c^2), internal units
     assert heating_rate(1.0, 1.0, 1.0) == pytest.approx(0.25)
-    assert heating_rate(2.0, 1.0, 1.0, dims=3) == pytest.approx(1.5)
     assert heating_rate(1.0, 4.0, 1.0) == pytest.approx(0.0625)
 
 

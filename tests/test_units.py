@@ -10,7 +10,6 @@ from grwlab.units import (
     HBAR_SI,
     NUCLEON_MASS_KG,
     UnitSystem,
-    convert_rate,
     convert_rate_to_si,
 )
 
@@ -27,22 +26,13 @@ def test_hbar_is_one_internally():
 
 
 def test_rate_conversion_canonical():
-    lam = convert_rate(1e-16)
+    lam = DEFAULT_UNITS.rate_to_internal(1e-16)
     assert lam == pytest.approx(1e-16 * DEFAULT_UNITS.time_unit_s, rel=1e-15)
     assert lam == pytest.approx(1.586067343197357e-23, rel=1e-12)
 
 
 def test_length_and_mass_converters():
     assert DEFAULT_UNITS.length_to_internal(1e-7) == pytest.approx(1.0)
-    assert DEFAULT_UNITS.length_to_si(2.0) == pytest.approx(2e-7)
-    assert DEFAULT_UNITS.mass_to_internal(NUCLEON_MASS_KG) == pytest.approx(1.0)
-
-
-def test_energy_converter_scale():
-    # E_internal = 1 corresponds to hbar_SI / time_unit_s joules
-    assert DEFAULT_UNITS.energy_to_si(1.0) == pytest.approx(
-        HBAR_SI / DEFAULT_UNITS.time_unit_s, rel=1e-15
-    )
 
 
 def test_bad_units_rejected():
@@ -54,7 +44,7 @@ def test_bad_units_rejected():
 
 @given(st.floats(min_value=1e-30, max_value=1e30))
 def test_rate_round_trip(rate_si):
-    assert convert_rate_to_si(convert_rate(rate_si)) == pytest.approx(
+    assert convert_rate_to_si(DEFAULT_UNITS.rate_to_internal(rate_si)) == pytest.approx(
         rate_si, rel=1e-12
     )
 
