@@ -22,7 +22,6 @@ from .collapse import (
     grw_trajectory,
     hit_position_density,
     sample_hit_center,
-    sample_next_hit_time,
 )
 from .rngstream import trajectory_rng
 
@@ -46,7 +45,6 @@ __all__ = [
     "grw_trajectory",
     "hit_position_density",
     "sample_hit_center",
-    "sample_next_hit_time",
     "trajectory_rng",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ZeroSupportError
-from .qstate import Grid1D, WaveFunction, observables
+from .qstate import NORM_TOL, Grid1D, WaveFunction, observables
 from .propagator import Potential, flight
 from .rngstream import exponential_variate
 from .units import DEFAULT_UNITS
@@ -91,15 +91,6 @@ class TrajectoryRecord:
         }
 
 
-def sample_next_hit_time(rate: float, rng: np.random.Generator) -> float | None:
-    """Exponential waiting time with mean 1/rate; None when rate is zero."""
-    if not np.isfinite(rate) or rate < 0:
-        raise DomainError(f"rate must be finite and >= 0, got {rate}")
-    if rate == 0.0:
-        return None
-    return exponential_variate(rng, rate)
-
-
 def _min_image(u: np.ndarray, extent: float) -> np.ndarray:
     return (u + 0.5 * extent) % extent - 0.5 * extent
 
@@ -117,17 +108,6 @@ def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
         )
 
 
-def hit_position_density(psi: WaveFunction, r_c: float) -> np.ndarray:
-    """p(a) = ||L(a) psi||^2 tabulated on the grid; sums to 1 (times dx).
-
-    Equals the circular convolution of |psi|^2 with the kernel
-    (pi r_c^2)^(-1/2) exp(-(x-a)^2 / r_c^2)  (the square of L's Gaussian).
-    """
-    if not psi.is_normalized():
-        raise DomainError(f"psi must be normalized, norm^2 = {psi.norm2()}")
-    return _density_convolution(psi.density(), psi.grid, r_c)
-
-
 @lru_cache(maxsize=16)
 def _kernel_rfft(grid: Grid1D, r_c: float) -> np.ndarray:
     """rfft of the density kernel on the grid, computed once per (grid, r_c)."""
@@ -138,8 +118,18 @@ def _kernel_rfft(grid: Grid1D, r_c: float) -> np.ndarray:
     return out
 
 
-def _density_convolution(rho: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
+def hit_position_density(rows: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
+    """p(a) = ||L(a) psi||^2 tabulated on the grid; sums to 1 (times dx).
+
+    rows is one state (N,) or branch rows (K, N), jointly normalized; p is
+    the circular convolution of their summed |psi|^2 with the kernel
+    (pi r_c^2)^(-1/2) exp(-(x-a)^2 / r_c^2)  (the square of L's Gaussian).
+    """
     _check_kernel_resolved(grid, r_c)
+    rho = np.sum(np.abs(np.atleast_2d(rows)) ** 2, axis=0)
+    norm2 = float(np.sum(rho) * grid.dx)
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2}")
     p = np.fft.irfft(np.fft.rfft(rho) * _kernel_rfft(grid, r_c), n=grid.n_points)
     p *= grid.dx  # convolution quadrature weight
     return np.maximum(p, 0.0)
@@ -171,24 +161,17 @@ def localization_amplitude(grid: Grid1D, a: float, r_c: float) -> np.ndarray:
 
 
 def apply_hit(
-    psi: WaveFunction, a: float, r_c: float
-) -> tuple[WaveFunction, float]:
-    """Apply one localization hit at center a; returns (psi', weight).
-
-    weight = ||L(a) psi||^2 is the Born weight of the realized branch.
-    """
-    amps, weight = _localize(psi.amps, psi.grid, a, r_c)
-    return psi.with_amps(amps), weight
-
-
-def _localize(
-    amps: np.ndarray, grid: Grid1D, a: float, r_c: float
+    rows: np.ndarray, grid: Grid1D, a: float, r_c: float
 ) -> tuple[np.ndarray, float]:
-    """L(a) applied to every row of amps, renormalized jointly over the rows."""
+    """L(a) applied to one state or every branch row; returns (rows', weight).
+
+    weight = ||L(a) psi||^2, summed over the rows, is the Born weight of the
+    realized branch; rows' are renormalized jointly by it.
+    """
     _check_kernel_resolved(grid, r_c)
     if not (grid.x_min <= a <= grid.x_max):
         raise DomainError(f"hit center {a} outside grid [{grid.x_min}, {grid.x_max}]")
-    hit_amps = localization_amplitude(grid, a, r_c) * amps
+    hit_amps = localization_amplitude(grid, a, r_c) * rows
     weight = float(np.sum(np.abs(hit_amps) ** 2) * grid.dx)
     if weight < MIN_HIT_WEIGHT:
         raise ZeroSupportError(
@@ -242,7 +225,7 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
     a hit, evolution.at(t) returns the new anchor rows without computing.
     """
     grid = evolution.grid
-    t_wait = sample_next_hit_time(rate, rng)
+    t_wait = None if rate == 0 else exponential_variate(rng, rate)
     samples = iter(samples)
     t_sample = next(samples, None)
     while True:
@@ -250,9 +233,8 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
         due = t_hit is not None and t_hit <= t_end
         if due and (t_sample is None or t_hit <= t_sample):
             amps = evolution.at(t_hit)
-            p = _density_convolution(np.sum(np.abs(amps) ** 2, axis=0), grid, r_c)
-            a = sample_hit_center(p, grid, rng)
-            amps, weight = _localize(amps, grid, a, r_c)
+            a = sample_hit_center(hit_position_density(amps, grid, r_c), grid, rng)
+            amps, weight = apply_hit(amps, grid, a, r_c)
             evolution.anchor(amps, t_hit)
             t_wait += exponential_variate(rng, rate)
             event = CollapseEvent(t=t_hit, center=a, branch_weight=weight)

@@ -23,7 +23,7 @@ from .collapse import (
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError
 from .propagator import Potential, drift_phase, flight
-from .qstate import Grid1D, WaveFunction, gaussian_packet, momentum_moments, superpose
+from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS
@@ -167,10 +167,9 @@ def born_trial(
     rate = params.total_rate_internal()
     if rate <= 0:
         raise ConfigError("born_trial needs a positive total collapse rate")
-    dt = cfg.hit_resolution / rate
-    n_max = int(round(cfg.hits_budget / cfg.hit_resolution))
-    evolution = start.flight(dt, cfg.pointer_n_nucleons)
-    process = grw_process(evolution, rate, params.r_c, n_max * dt, [0.0], rng)
+    evolution = start.flight(cfg.hit_resolution / rate, cfg.pointer_n_nucleons)
+    t_end = cfg.hits_budget / rate
+    process = grw_process(evolution, rate, params.r_c, t_end, [0.0], rng)
     for t, evolution, _ in process:
         amps = evolution.at(t)
         w_up, w_down = _branch_weights(amps, grid)
@@ -403,23 +402,27 @@ class VisibilityConfig:
     grid_extent: float = 128.0
     hit_resolution: float = 1e-3  # Lambda * dt
     n_batches: int = 10
-    n_fringes: float = 5.0
+    n_fringes: int = 5
 
     def __post_init__(self):
         _require_positive(self, "hit_resolution", "n_batches")
+        if not (isinstance(self.n_fringes, int) and self.n_fringes >= 1):
+            raise ConfigError(f"n_fringes must be an integer >= 1, got {self.n_fringes}")
 
 
-def momentum_screen(psi: WaveFunction, pad: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Far-field intensity: (p axis, |psi(p)|^2), both in ascending p order.
+def momentum_screen(amps: np.ndarray, grid: Grid1D, pad: int = 8) -> np.ndarray:
+    """Far-field intensity |psi(p)|^2 on screen_axis(grid, pad).
 
     Zero-padding by `pad` evaluates the transform on a p grid `pad` times
     finer; this is exact interpolation for a state supported inside the box.
     """
-    n = psi.grid.n_points * pad
-    phi = np.fft.fftshift(np.fft.fft(psi.amps, n=n))
-    p_axis = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=psi.grid.dx))
-    intensity = np.abs(phi) ** 2 * psi.grid.dx**2 / (2.0 * np.pi)
-    return p_axis, intensity
+    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * pad))
+    return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
+
+
+def screen_axis(grid: Grid1D, pad: int = 8) -> np.ndarray:
+    """The p axis of momentum_screen, in ascending order."""
+    return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n_points * pad, d=grid.dx))
 
 
 @lru_cache(maxsize=1)
@@ -434,14 +437,14 @@ def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
     rng = trajectory_rng(master_seed, index)
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
+    # dt only feeds flight's step guard: the arms fly exactly t_flight
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
-    t_end = step_count(t_flight, dt) * dt
     evolution = start.flight(dt, cfg.mass)
-    process = grw_process(evolution, rate, params.r_c, t_end, [t_end], rng)
+    process = grw_process(evolution, rate, params.r_c, t_flight, [t_flight], rng)
     for t, evolution, event in process:
         if event is None:
             amps = evolution.at(t)
-    return momentum_screen(WaveFunction(start.grid, amps[0], cfg.mass))[1]
+    return momentum_screen(amps[0], start.grid)
 
 
 def fringe_contrast(
@@ -495,11 +498,8 @@ def visibility_experiment(
             f"{d + 12 * cfg.sigma0:g} > extent = {cfg.grid_extent:g}"
         )
     fringe_spacing = 2.0 * np.pi / d
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     pad = 8
-    p_axis = momentum_screen(
-        gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass), pad
-    )[0]
+    p_axis = screen_axis(Grid1D.centered(cfg.grid_n, cfg.grid_extent), pad)
     if pad * cfg.grid_extent / d < 8.0:
         raise ConfigError(
             f"far-field sampling too coarse: {pad * cfg.grid_extent / d:.1f} "

@@ -100,17 +100,11 @@ class WaveFunction:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2) * self.grid.dx)
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
     def normalized(self) -> "WaveFunction":
         n2 = self.norm2()
         if not np.isfinite(n2) or n2 <= 0:
             raise DegeneracyError(f"cannot normalize state with norm^2 = {n2}")
         return WaveFunction(self.grid, self.amps / np.sqrt(n2), self.mass)
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= tol
 
     def with_amps(self, amps: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, amps, self.mass)

@@ -57,5 +57,5 @@ class UnitSystem:
 DEFAULT_UNITS = UnitSystem()
 
 
-def convert_rate_to_si(lambda_internal: float, units: UnitSystem = DEFAULT_UNITS) -> float:
-    return units.rate_to_si(lambda_internal)
+def convert_rate_to_si(lambda_internal: float) -> float:
+    return DEFAULT_UNITS.rate_to_si(lambda_internal)

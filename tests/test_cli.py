@@ -303,6 +303,22 @@ def test_bad_numeric_input_is_exit_one(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "2.5"])
+def test_bad_fringe_count_is_exit_one(tmp_path, value):
+    assert run(["visibility", "--n-fringes", value, "--lambda-internal", "1",
+                "--rc-internal", "4", "--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
+
+
+def test_fringe_count_from_a_config_file_may_read_5_0(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[visibility]\nn_fringes = 5.0\n")
+    argv = ["visibility", "--lambda-internal", "1", "--rc-internal", "4", "--n-traj", "2"]
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+    for name in ("report.json", "screen.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_integer_keys_accept_exponent_form(tmp_path):
     assert run(["exclusion", "--out", str(tmp_path / "a")]) == 0
     assert run(["exclusion", "--n-lambda", "1.41e2", "--n-rc", "41.0",

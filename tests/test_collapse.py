@@ -12,12 +12,11 @@ from grwlab.collapse import (
     hit_position_density,
     localization_amplitude,
     sample_hit_center,
-    sample_next_hit_time,
 )
 from grwlab.errors import DomainError, GridMismatchError
 from grwlab.propagator import Potential, flight, split_step
 from grwlab.qstate import Grid1D, WaveFunction, gaussian_packet, superpose
-from grwlab.rngstream import trajectory_rng
+from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
 
 GRID = Grid1D.centered(512, 64.0)
@@ -47,10 +46,14 @@ def test_total_rate_amplification():
 
 def test_waiting_times_exponential(rng):
     rate = 2.0
-    taus = np.array([sample_next_hit_time(rate, rng) for _ in range(20_000)])
+    taus = np.array([exponential_variate(rng, rate) for _ in range(20_000)])
     assert taus.mean() == pytest.approx(1.0 / rate, rel=0.03)
     assert taus.std() == pytest.approx(1.0 / rate, rel=0.03)
-    assert sample_next_hit_time(0.0, rng) is None
+    # at rate zero the process draws no waiting time and makes no hit
+    psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 1.0)
+    evolution = flight(GRID, Potential.free(), 0.004, 1.0, psi.amps[None])
+    process = grw_process(evolution, 0.0, 1.0, 2.0, [0.0, 1.0, 2.0], rng)
+    assert [event for _, _, event in process] == [None] * 3
 
 
 def test_localization_amplitude_shape():
@@ -74,11 +77,11 @@ def test_hit_suppresses_far_branch():
     a = gaussian_packet(GRID, -10.0, 0.0, 1.0, 1.0)
     b = gaussian_packet(GRID, +10.0, 0.0, 1.0, 1.0)
     psi = superpose(a, b, 1.0, 1.0)
-    hit, weight = apply_hit(psi, -10.0, r_c=1.0)
+    hit, weight = apply_hit(psi.amps, GRID, -10.0, r_c=1.0)
     # half the weight sits in the left branch; the Gaussian overlap integral
     # of kernel (var 1/2) against density (var 1) contributes 1/sqrt(3 pi)
     assert weight == pytest.approx(0.5 / np.sqrt(3 * np.pi), rel=1e-3)
-    rho = hit.density()
+    rho = np.abs(hit) ** 2
     left = rho[GRID.x < 0].sum()
     right = rho[GRID.x > 0].sum()
     assert right / left < 1e-20
@@ -94,17 +97,32 @@ def test_per_hit_momentum_kick_is_exact():
     before = observables(psi)["mean_p2"]
     deltas = []
     for _ in range(400):
-        p = hit_position_density(psi, r_c)
+        p = hit_position_density(psi.amps, GRID, r_c)
         a = sample_hit_center(p, GRID, rng)
-        hit, _ = apply_hit(psi, a, r_c)
-        deltas.append(observables(hit)["mean_p2"] - before)
+        hit, _ = apply_hit(psi.amps, GRID, a, r_c)
+        deltas.append(observables(psi.with_amps(hit))["mean_p2"] - before)
     assert np.mean(deltas) == pytest.approx(1.0 / (2 * r_c**2), rel=0.02)
+
+
+def test_hit_density_needs_jointly_normalized_rows():
+    from grwlab.experiments import MeasurementConfig, _initial_hybrid
+
+    a = gaussian_packet(GRID, -10.0, 0.0, 1.0, 1.0)
+    b = gaussian_packet(GRID, +10.0, 0.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        hit_position_density(np.stack([a.amps, b.amps]), GRID, 1.0)  # norm^2 = 2
+    rows = np.stack([a.amps, b.amps]) / np.sqrt(2.0)
+    assert hit_position_density(rows, GRID, 1.0).sum() * GRID.dx == pytest.approx(1.0)
+    # born's branch rows, as every trial starts from them
+    start = _initial_hybrid(MeasurementConfig(c_up=np.sqrt(0.2), c_down=np.sqrt(0.8)))
+    p = hit_position_density(start.rows, start.grid, 1.0)
+    assert p.sum() * start.grid.dx == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hit_center_distribution(rng):
     r_c = 1.0
     psi = gaussian_packet(GRID, 0.5, 0.0, 1.0, 1.0)
-    p = hit_position_density(psi, r_c)
+    p = hit_position_density(psi.amps, GRID, r_c)
     centers = np.array([sample_hit_center(p, GRID, rng) for _ in range(20_000)])
     # density is |psi|^2 convolved with a Gaussian of variance r_c^2 / 2
     assert centers.mean() == pytest.approx(0.5, abs=0.03)
@@ -113,7 +131,7 @@ def test_hit_center_distribution(rng):
 
 def test_hit_density_normalized():
     psi = gaussian_packet(GRID, -3.0, 1.0, 2.0, 1.0)
-    p = hit_position_density(psi, 1.0)
+    p = hit_position_density(psi.amps, GRID, 1.0)
     assert p.sum() * GRID.dx == pytest.approx(1.0, rel=1e-9)
     assert (p >= 0).all()
 
@@ -121,9 +139,9 @@ def test_hit_density_normalized():
 def test_kernel_resolution_guards():
     psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        hit_position_density(psi, r_c=0.1)  # < 2 dx
+        hit_position_density(psi.amps, GRID, r_c=0.1)  # < 2 dx
     with pytest.raises(DomainError):
-        hit_position_density(psi, r_c=10.0)  # > extent / 8
+        hit_position_density(psi.amps, GRID, r_c=10.0)  # > extent / 8
 
 
 def test_effective_reduction_rate_limits():
@@ -175,7 +193,7 @@ def test_two_packet_reduction_is_one_sided():
             psi, Potential.free(), params, 2.0, 0.004, 10**9,
             trajectory_rng(11, i), seed=11,
         )
-        rho = rec.final_state.density()
+        rho = np.abs(rec.final_state.amps) ** 2
         side = max(rho[GRID.x < 0].sum(), rho[GRID.x > 0].sum()) * GRID.dx
         fractions.append(side)
     assert np.median(fractions) > 0.99
@@ -219,12 +237,12 @@ def test_hits_across_periodic_seam_stay_on_grid():
     grid = Grid1D.centered(256, 32.0)
     u = (grid.x - grid.x_min + 0.5 * grid.extent) % grid.extent - 0.5 * grid.extent
     psi = WaveFunction(grid, np.exp(-(u**2) / 4.0), 1.0).normalized()
-    p = hit_position_density(psi, 1.0)
+    p = hit_position_density(psi.amps, grid, 1.0)
     rng = trajectory_rng(3, 0)
     for _ in range(2000):
         a = sample_hit_center(p, grid, rng)
         assert grid.x_min <= a < grid.x_max
-        apply_hit(psi, a, 1.0)
+        apply_hit(psi.amps, grid, a, 1.0)
 
 
 def test_grw_process_identical_rows_follow_one_state():
@@ -252,6 +270,24 @@ def test_grw_process_identical_rows_follow_one_state():
             np.testing.assert_allclose(row, a[0] / np.sqrt(2.0), rtol=0, atol=1e-12)
 
 
+def test_grw_process_hit_is_density_draw_and_apply():
+    # a hit of the process is hit_position_density, sample_hit_center and
+    # apply_hit on the rows at the hit time, drawing from the same stream
+    rows = np.stack([gaussian_packet(GRID, x, 0.0, 1.0, 50.0).amps
+                     for x in (-6.0, 6.0)]) / np.sqrt(2.0)
+    evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows)
+    process = grw_process(evolution, 4.0, 1.0, 2.0, [], trajectory_rng(9, 0))
+    t, evolution, event = next(process)
+
+    rng = trajectory_rng(9, 0)
+    t_hit = exponential_variate(rng, 4.0)
+    before = flight(GRID, Potential.free(), 0.01, 50.0, rows).at(t_hit)
+    a = sample_hit_center(hit_position_density(before, GRID, 1.0), GRID, rng)
+    after, weight = apply_hit(before, GRID, a, 1.0)
+    assert (t, event.t, event.center, event.branch_weight) == (t_hit, t_hit, a, weight)
+    assert evolution.at(t).tobytes() == after.tobytes()
+
+
 def test_stream_tags_give_distinct_streams():
     base = trajectory_rng(5, 2).random(4)
     assert np.array_equal(trajectory_rng(5, 2, stream=0).random(4), base)
@@ -268,11 +304,11 @@ def test_cached_density_kernel_matches_fresh_computation():
     u = (GRID.dx * np.arange(GRID.n_points) + 0.5 * GRID.extent) % GRID.extent \
         - 0.5 * GRID.extent
     kernel = np.exp(-(u**2) / r_c**2) / np.sqrt(np.pi * r_c**2)
-    fresh = np.fft.irfft(np.fft.rfft(psi.density()) * np.fft.rfft(kernel),
+    fresh = np.fft.irfft(np.fft.rfft(np.abs(psi.amps) ** 2) * np.fft.rfft(kernel),
                          n=GRID.n_points)
     fresh = np.maximum(fresh * GRID.dx, 0.0)
     for _ in range(2):  # the second call reads the cache
-        assert hit_position_density(psi, r_c).tobytes() == fresh.tobytes()
+        assert hit_position_density(psi.amps, GRID, r_c).tobytes() == fresh.tobytes()
 
 
 def _hit_trajectory(index, t_total=5.0):

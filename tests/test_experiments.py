@@ -5,7 +5,7 @@ import pytest
 
 from grwlab import experiments
 from grwlab.collapse import CollapseParams, grw_process, grw_trajectory
-from grwlab.errors import ConfigError, StatisticsError
+from grwlab.errors import ConfigError, DecisionTimeoutError, StatisticsError
 from grwlab.experiments import (
     DecoherenceConfig,
     HeatingConfig,
@@ -18,11 +18,12 @@ from grwlab.experiments import (
     fringe_contrast,
     heating_experiment,
     momentum_screen,
+    screen_axis,
     visibility_experiment,
 )
 from grwlab.propagator import Potential, flight
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
-from grwlab.rngstream import trajectory_rng
+from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
 
 THREADS = 2
@@ -53,6 +54,26 @@ def test_born_small_ensemble_tracks_weights():
     report = born_ensemble(cfg, params, 200, master_seed=2, threads=THREADS)
     # 5 sigma guard band at this small n
     assert abs(report.estimate - 0.8) < 5 * np.sqrt(0.8 * 0.2 / 200)
+
+
+def test_born_budget_is_hits_budget_over_rate():
+    # a budget of 0.4 expected hits is less than one hit_resolution: the
+    # trial still runs for 0.4 / rate, and one hit decides it, so it decides
+    # exactly when its first waiting time falls within the budget
+    cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
+                            hits_budget=0.4, hit_resolution=1.0)
+    params = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
+    rate = params.total_rate_internal()
+    decided = []
+    for i in range(30):
+        try:
+            born_trial(cfg, params, trajectory_rng(4, i))
+            decided.append(True)
+        except DecisionTimeoutError:
+            decided.append(False)
+    first_hit = [exponential_variate(trajectory_rng(4, i), rate) for i in range(30)]
+    assert decided == [t <= cfg.hits_budget / rate for t in first_hit]
+    assert 0 < sum(decided) < 30
 
 
 def test_born_normalization_enforced():
@@ -99,7 +120,7 @@ def test_momentum_screen_of_two_packets_has_fringes():
         gaussian_packet(grid, +d / 2, 0.0, 1.0, 1e6),
         1.0, 1.0,
     )
-    p, intensity = momentum_screen(psi)
+    p, intensity = screen_axis(grid), momentum_screen(psi.amps, grid)
     assert fringe_contrast(intensity, p, 2 * np.pi / d, 5.0) == pytest.approx(
         1.0, abs=0.02
     )
@@ -111,6 +132,27 @@ def test_visibility_separation_preconditions():
         visibility_experiment(4.0, _params(1.0, 1.0), 1.0, 4, cfg, 0)
     with pytest.raises(ConfigError):
         visibility_experiment(200.0, _params(1.0, 1.0), 1.0, 4, cfg, 0)
+
+
+@pytest.mark.parametrize("t_flight", [0.9, 1.1])
+def test_visibility_flies_t_flight_exactly(t_flight):
+    # dt = hit_resolution / rate = 2 does not divide t_flight; the arms still
+    # fly t_flight, and a hit on either arm (d = 16 r_c) erases its fringes,
+    # so the contrast ratio is the share of trajectories unhit by t_flight
+    cfg = VisibilityConfig(hit_resolution=2.0)
+    params = _params(1.0, 4.0)
+    res = visibility_experiment(64.0, params, t_flight, 200, cfg, 3, threads=THREADS)
+    rate = params.total_rate_internal(cfg.mass)
+    unhit = np.mean([exponential_variate(trajectory_rng(3, i), rate) > t_flight
+                     for i in range(200)])
+    assert res["V_analytic"] == pytest.approx(np.exp(-t_flight), rel=1e-12)
+    assert res["ratio"] == pytest.approx(unhit, abs=0.02)
+
+
+@pytest.mark.parametrize("n_fringes", [0, -1, 2.5])
+def test_visibility_fringe_count_is_a_whole_positive_number(n_fringes):
+    with pytest.raises(ConfigError):
+        VisibilityConfig(n_fringes=n_fringes)
 
 
 def test_visibility_zero_rate_control():
