@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,15 +122,17 @@ def _kernel_rfft(grid: Grid1D, r_c: float) -> np.ndarray:
 def hit_position_density(rows: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
     """p(a) = ||L(a) psi||^2 tabulated on the grid; sums to 1 (times dx).
 
-    rows is one state (N,) or branch rows (K, N), jointly normalized; p is
-    the circular convolution of their summed |psi|^2 with the kernel
+    rows is one state (N,), its branch rows (K, N), or the (W, K, N) rows
+    of W states, each state jointly normalized; p has one row (N,) per
+    state: the circular convolution of its summed |psi|^2 with the kernel
     (pi r_c^2)^(-1/2) exp(-(x-a)^2 / r_c^2)  (the square of L's Gaussian).
     """
     _check_kernel_resolved(grid, r_c)
-    rho = np.sum(np.abs(np.atleast_2d(rows)) ** 2, axis=0)
-    norm2 = float(np.sum(rho) * grid.dx)
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2}")
+    rho = np.sum(np.abs(np.atleast_2d(rows)) ** 2, axis=-2)
+    norm2 = np.sum(rho, axis=-1) * grid.dx
+    bad = np.abs(norm2 - 1.0) > NORM_TOL
+    if bad.any():
+        raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2[bad].flat[0]}")
     p = np.fft.irfft(np.fft.rfft(rho) * _kernel_rfft(grid, r_c), n=grid.n_points)
     p *= grid.dx  # convolution quadrature weight
     return np.maximum(p, 0.0)
@@ -138,7 +141,7 @@ def hit_position_density(rows: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarr
 def sample_hit_center(
     p: np.ndarray, grid: Grid1D, rng: np.random.Generator
 ) -> float:
-    """Inverse-CDF draw from the tabulated density (CDF linear within cells)."""
+    """Inverse-CDF draw from one state's tabulated density (CDF linear within cells)."""
     masses = p * grid.dx
     cdf = np.cumsum(masses)
     total = cdf[-1]
@@ -154,30 +157,41 @@ def sample_hit_center(
     return float(grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent)
 
 
-def localization_amplitude(grid: Grid1D, a: float, r_c: float) -> np.ndarray:
-    """The Gaussian factor of L(a) on the grid (minimum-image distance)."""
+def localization_amplitude(grid: Grid1D, a, r_c: float) -> np.ndarray:
+    """The Gaussian factor of L(a) on the grid (minimum-image distance);
+    a (W, 1) array of centers gives one row per center."""
     u = _min_image(grid.x - a, grid.extent)
     return (np.pi * r_c**2) ** (-0.25) * np.exp(-(u**2) / (2.0 * r_c**2))
 
 
-def apply_hit(
-    rows: np.ndarray, grid: Grid1D, a: float, r_c: float
-) -> tuple[np.ndarray, float]:
-    """L(a) applied to one state or every branch row; returns (rows', weight).
+def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float):
+    """L(a) applied to every branch row of each state; returns (rows', weight).
 
-    weight = ||L(a) psi||^2, summed over the rows, is the Born weight of the
-    realized branch; rows' are renormalized jointly by it.
+    rows are as in hit_position_density, with one center per state in a (a
+    float for one state, a (W,) array for W).  weight = ||L(a) psi||^2,
+    summed over a state's rows, is the Born weight of its realized branch;
+    each state's rows' are renormalized jointly by it.
     """
     _check_kernel_resolved(grid, r_c)
-    if not (grid.x_min <= a <= grid.x_max):
-        raise DomainError(f"hit center {a} outside grid [{grid.x_min}, {grid.x_max}]")
-    hit_amps = localization_amplitude(grid, a, r_c) * rows
-    weight = float(np.sum(np.abs(hit_amps) ** 2) * grid.dx)
-    if weight < MIN_HIT_WEIGHT:
-        raise ZeroSupportError(
-            f"hit at a = {a} lands on negligible amplitude (weight = {weight})"
+    a = np.asarray(a, dtype=float)
+    off = ~((grid.x_min <= a) & (a <= grid.x_max))
+    if off.any():
+        raise DomainError(
+            f"hit center {a[off].flat[0]} outside grid [{grid.x_min}, {grid.x_max}]"
         )
-    return hit_amps / np.sqrt(weight), weight
+    states = np.reshape(rows, a.shape + (-1, grid.n_points))
+    hit_amps = localization_amplitude(grid, a[..., None], r_c)[..., None, :] * states
+    density = np.abs(hit_amps.reshape(a.shape + (-1,)))
+    density *= density  # |L(a) psi|^2, the bits of np.abs(.) ** 2
+    weight = np.sum(density, axis=-1) * grid.dx
+    low = weight < MIN_HIT_WEIGHT
+    if low.any():
+        raise ZeroSupportError(
+            f"hit at a = {a[low].flat[0]} lands on negligible amplitude "
+            f"(weight = {weight[low].flat[0]})"
+        )
+    hit_amps /= np.sqrt(weight)[..., None, None]
+    return hit_amps.reshape(np.shape(rows)), weight
 
 
 def effective_reduction_rate(
@@ -206,44 +220,53 @@ def sample_times(dt: float, n_steps: int, every: int) -> list[float]:
     return [b * dt for b in range(0, n_steps, every)] + [n_steps * dt]
 
 
-def grw_process(evolution, rate: float, r_c: float, t_end: float, samples, rng):
-    """The GRW process on K branch rows: yields (t, evolution, event) in time order.
+class Round(NamedTuple):
+    """One round of grw_process, yielded before its hits."""
 
-    evolution carries a (K, N) array of rows from t = 0 (propagator.flight);
-    all rows share one hit sequence.  Hits fall at the running sums of
-    exponential waiting times of mean 1/rate, up to t_end, each applied at
-    the time evolution.event_time gives it: exactly for free evolution, on
-    the nearest step boundary otherwise.  At a hit the center is drawn from
-    the density summed over rows, L(a) multiplies every row, the rows are
-    renormalized jointly and become the anchor of evolution, and
-    (t, evolution, CollapseEvent) is yielded.  At each time in samples
-    (ascending, at most t_end) (t, evolution, None) is yielded.  A hit at the
-    same time as a sample comes first.
+    rows: np.ndarray  # positions in the pass of the rows still running
+    t_next: np.ndarray  # each one's next hit time (inf: none); inf stops a row
+    centers: np.ndarray | None  # the hits that made the anchors (None in round 0)
+    weights: np.ndarray | None  # and their branch weights
 
-    The consumer reads what it needs from evolution, evolution.at(t) for the
-    rows, before it advances the generator: the next hit re-anchors it.  At
-    a hit, evolution.at(t) returns the new anchor rows without computing.
+
+def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
+    """The GRW process on the W trajectories of one pass, advanced together.
+
+    evolution carries the pass's (W, K, N) rows from t = 0 (propagator.flight).
+    Row w is one trajectory drawing from rngs[w] as if alone: a wait, then a
+    center and a wait per hit.  Its hits fall at the running sums of waits of
+    mean 1/rate, up to t_end, at the times evolution.event_time gives.  A hit
+    draws its center from the density summed over the row's K branch rows,
+    multiplies them all by L(a) and renormalizes them jointly.
+
+    Round r yields while each running row holds its anchor after r hits
+    (evolution.amps, from times evolution.t), which serves its samples in
+    [evolution.t, t_next): a hit at a sample's time comes first.  The consumer
+    may stop a row by setting its t_next to inf.  Then rows whose next hit is
+    past t_end leave, and the rest take it.
     """
     grid = evolution.grid
-    t_wait = None if rate == 0 else exponential_variate(rng, rate)
-    samples = iter(samples)
-    t_sample = next(samples, None)
+    rows = np.arange(len(rngs))
+    t_wait = np.array([exponential_variate(rng, rate) if rate else np.inf for rng in rngs])
+    centers = weights = None
     while True:
-        t_hit = None if t_wait is None else evolution.event_time(t_wait)
-        due = t_hit is not None and t_hit <= t_end
-        if due and (t_sample is None or t_hit <= t_sample):
-            amps = evolution.at(t_hit)
-            a = sample_hit_center(hit_position_density(amps, grid, r_c), grid, rng)
-            amps, weight = apply_hit(amps, grid, a, r_c)
-            evolution.anchor(amps, t_hit)
-            t_wait += exponential_variate(rng, rate)
-            event = CollapseEvent(t=t_hit, center=a, branch_weight=weight)
-            yield t_hit, evolution, event
-        elif t_sample is not None:
-            yield t_sample, evolution, None
-            t_sample = next(samples, None)
+        t_next = evolution.event_time(t_wait)
+        yield Round(rows, t_next, centers, weights)
+        going = t_next <= t_end
+        if going.all():
+            going = slice(None)
+        elif going.any():
+            rows, t_wait, t_next = rows[going], t_wait[going], t_next[going]
+            rngs = [rng for rng, g in zip(rngs, going) if g]
         else:
             return
+        amps = evolution.at(t_next, going)
+        p = hit_position_density(amps, grid, r_c)
+        centers = np.array([sample_hit_center(p_w, grid, rng) for p_w, rng in zip(p, rngs)])
+        del p  # not held through the hit's temporaries
+        amps, weights = apply_hit(amps, grid, centers, r_c)
+        evolution.anchor(amps, t_next)
+        t_wait = t_wait + [exponential_variate(rng, rate) for rng in rngs]
 
 
 def grw_trajectory(
@@ -256,7 +279,8 @@ def grw_trajectory(
     rng: np.random.Generator,
     seed: int = 0,
 ) -> TrajectoryRecord:
-    """One GRW trajectory (see grw_process) over t_total, covered by steps of dt.
+    """One GRW trajectory (a one-row pass of grw_process) over t_total,
+    covered by steps of dt.
 
     Observables are sampled at every sample_every-th step boundary and at
     the last.  Free evolution between events is exact, so hits fall at their
@@ -268,22 +292,23 @@ def grw_trajectory(
         raise DomainError(f"sample_every must be >= 1, got {sample_every}")
     rate = params.total_rate_internal(psi0.mass)
     times = sample_times(dt, n_steps, sample_every)
-    evolution = flight(psi0.grid, v, dt, psi0.mass, psi0.amps[None])
+    evolution = flight(psi0.grid, v, dt, psi0.mass, psi0.amps[None, None])
 
     events: list[CollapseEvent] = []
     obs: list[dict[str, float]] = []
-    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
-    for t, evolution, event in process:
-        if event is None:
-            amps = evolution.at(t)
-            obs.append(observables(psi0.with_amps(amps[0]), v))
-        else:
-            events.append(event)
+    for rnd in grw_process(evolution, rate, params.r_c, times[-1], [rng]):
+        if rnd.centers is not None:
+            events.append(CollapseEvent(evolution.t[0], rnd.centers[0], rnd.weights[0]))
+        for t in times[len(obs):]:
+            if t >= rnd.t_next[0]:
+                break
+            amps = evolution.at(t)[0, 0]
+            obs.append(observables(psi0.with_amps(amps), v))
 
     return TrajectoryRecord(
         events=events,
         sample_times=times,
         observables_at_samples=obs,
-        final_state=psi0.with_amps(amps[0]),
+        final_state=psi0.with_amps(amps),
         seed=seed,
     )

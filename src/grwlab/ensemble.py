@@ -1,12 +1,13 @@
 """Ordered, reproducible ensemble execution, reduced in fixed blocks.
 
-Workers are module-level functions fn(cfg, master_seed, index) -> result.
-Each index derives its own Philox stream from (master_seed, index).  The
-indices 0..n-1 fall into fixed blocks whose bounds depend on n and the
-number of groups the caller asks for, never on the thread count; each block
-sums its results in index order where it runs, and the parent adds the
-block sums in block order, so the outcome is independent of thread count
-and scheduling.  A GrwError raised in a trajectory names it.
+Workers are module-level functions fn(cfg, master_seed, indices) -> the sum
+of the results of trajectories indices, added in index order.  Each index
+derives its own Philox stream from (master_seed, index).  The indices
+0..n-1 fall into fixed blocks whose bounds depend on n and the number of
+groups the caller asks for, never on the thread count; each block is summed
+where it runs, and the parent adds the block sums in block order, so the
+outcome is independent of thread count and scheduling.  A GrwError raised
+in a block names the first of its trajectories that raises alone.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ CHUNKS_PER_WORKER = 4
 
 
 def resolve_threads(threads) -> int:
+    """threads, else GRWLAB_THREADS, else the core count up to 8; a count
+    that is not a whole number >= 1 is a ConfigError."""
+    source = "threads"
     if threads in (None, "auto"):
-        env = os.environ.get("GRWLAB_THREADS")
-        if env is not None:
-            try:
-                return max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"bad GRWLAB_THREADS value {env!r}") from exc
-        return max(1, min(os.cpu_count() or 1, 8))
-    t = int(threads)
+        threads = os.environ.get("GRWLAB_THREADS")
+        if threads is None:
+            return max(1, min(os.cpu_count() or 1, 8))
+        source = "GRWLAB_THREADS"
+    t = int(threads) if str(threads).strip().isdecimal() else 0
     if t < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+        raise ConfigError(f"{source} must be an integer >= 1, got {threads!r}")
     return t
 
 
@@ -68,28 +69,30 @@ def total(parts):
 
 
 def _block_sum(args):
-    """Sum of fn over one block of indices, in index order; a GrwError is
-    re-raised with the index, seed and stream tag of its trajectory put
-    before its message."""
+    """fn over one block of indices.  On a GrwError the block's trajectories
+    are replayed one at a time, and the error of the first that raises is
+    re-raised with its index, seed and stream tag put before its message."""
     fn, cfg, master_seed, stream, indices = args
-    acc = None
-    for i in indices:
-        try:
-            result = fn(cfg, master_seed, i)
-        except GrwError as exc:
-            tag = "" if stream is None else f", stream {stream}"
-            exc.args = (f"trajectory {i} of seed {master_seed}{tag}: {exc}",)
-            raise
-        acc = result if acc is None else _add(acc, result)
-    return acc
+    try:
+        return fn(cfg, master_seed, indices)
+    except GrwError:
+        for i in indices:
+            try:
+                fn(cfg, master_seed, range(i, i + 1))
+            except GrwError as exc:
+                tag = "" if stream is None else f", stream {stream}"
+                exc.args = (f"trajectory {i} of seed {master_seed}{tag}: {exc}",)
+                raise
+        raise
 
 
 def map_trajectories(
     fn, ensembles: list[tuple], n: int, master_seed: int, threads: int = 1,
     groups: int = 1,
 ) -> list[list]:
-    """Group sums of fn(job, master_seed, i) over i = 0..n-1 for each
-    (job, stream) in ensembles, all run in one process pool.
+    """Group sums of trajectories 0..n-1 for each (job, stream) in
+    ensembles, all run in one process pool; fn(job, master_seed, block)
+    sums one block.
 
     The result holds, per ensemble, the sums over the groups
     block_ranges(n, groups) in group order; each group is the sum of its

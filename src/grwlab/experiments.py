@@ -57,6 +57,11 @@ class Report(dict):
 # the frozen config) and shared read-only, so no trajectory can change them.
 # ---------------------------------------------------------------------------
 
+# A pass of collapse.grw_process holds at most this many points: 8 trials of
+# born's (2, 1024) rows, 32 of heating's (1, 512).  Wider blocks take passes.
+PASS_POINTS = 2**14
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -74,10 +79,21 @@ class _Start:
     def of(cls, grid: Grid1D, rows: np.ndarray) -> "_Start":
         return cls(grid, _frozen(rows), _frozen(np.fft.fft(rows)))
 
-    def flight(self, dt: float, mass: float):
-        """Free evolution of the rows from t = 0, starting from their FFT."""
-        return flight(self.grid, Potential.free(), dt, mass, self.rows,
-                      _spectrum=self.spectrum)
+    def flight(self, dt: float, mass: float, width: int):
+        """Free evolution of width trajectories from these rows and their FFT."""
+        shape = (width, *self.rows.shape)
+        return flight(self.grid, Potential.free(), dt, mass,
+                      np.broadcast_to(self.rows, shape),
+                      _spectrum=np.broadcast_to(self.spectrum, shape))
+
+    def block_sum(self, indices, run_pass):
+        """Sum, in index order, of the per-trajectory results run_pass(part)
+        lists for each pass part, the next PASS_POINTS // rows.size indices."""
+        width = max(1, PASS_POINTS // self.rows.size)
+        acc = []
+        for lo in range(0, len(indices), width):
+            acc = [total(acc + run_pass(indices[lo:lo + width]))]
+        return acc[0]
 
 
 def _packet_pair(grid: Grid1D, d: float, sigma: float, mass: float):
@@ -147,47 +163,49 @@ def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
 
 
 def _branch_weights(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
-    return np.sum(np.abs(amps) ** 2, axis=1) * grid.dx
+    return np.sum(np.abs(amps) ** 2, axis=-1) * grid.dx
 
 
-def born_trial(
-    cfg: MeasurementConfig,
-    params: CollapseParams,
-    rng: np.random.Generator,
-) -> str:
-    """One measurement trial; returns "up" or "down".
-
-    Hits are applied jointly: the center is drawn from the branch-weighted
-    total position density and L(a) multiplies both branch wavefunctions.
-    Free evolution keeps each branch's weight, so the weights are checked at
-    t = 0 and after each hit, up to hits_budget / rate.
-    """
+def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[str]:
+    """Measurement trials drawing from rngs, run together; each ends "up"
+    or "down".  A hit multiplies both branch rows by L(a), a drawn from their
+    summed density.  Free evolution keeps each branch's weight, so a trial's
+    weights are checked at t = 0 and after each hit, up to hits_budget / rate,
+    until one falls below decision_epsilon."""
     start = _initial_hybrid(cfg)
-    grid, amps = start.grid, start.rows
     rate = params.total_rate_internal()
     if rate <= 0:
-        raise ConfigError("born_trial needs a positive total collapse rate")
-    evolution = start.flight(cfg.hit_resolution / rate, cfg.pointer_n_nucleons)
+        raise ConfigError("born_trials needs a positive total collapse rate")
+    evolution = start.flight(cfg.hit_resolution / rate, cfg.pointer_n_nucleons, len(rngs))
     t_end = cfg.hits_budget / rate
-    process = grw_process(evolution, rate, params.r_c, t_end, [0.0], rng)
-    for t, evolution, _ in process:
-        amps = evolution.at(t)
-        w_up, w_down = _branch_weights(amps, grid)
-        if w_down < cfg.decision_epsilon:
-            return "up"
-        if w_up < cfg.decision_epsilon:
-            return "down"
-    raise DecisionTimeoutError(
-        f"no outcome after {cfg.hits_budget} expected hits "
-        f"(weights {_branch_weights(amps, grid).tolist()}); "
-        "pointer too slow for this budget"
-    )
+    eps = cfg.decision_epsilon
+    up = np.zeros(len(rngs), dtype=int)
+    for rnd in grw_process(evolution, rate, params.r_c, t_end, rngs):
+        weights = _branch_weights(evolution.amps, start.grid)  # (up, down)
+        decided = (weights < eps).any(axis=1)
+        if rnd.centers is None:  # a hit at t = 0 comes before the check at 0
+            decided &= rnd.t_next > 0
+        timeout = np.flatnonzero(~decided & (rnd.t_next > t_end))
+        if len(timeout):
+            raise DecisionTimeoutError(
+                f"no outcome after {cfg.hits_budget} expected hits "
+                f"(weights {weights[timeout[0]].tolist()}); "
+                "pointer too slow for this budget"
+            )
+        up[rnd.rows[decided]] = weights[decided, 1] < eps
+        rnd.t_next[decided] = np.inf
+    return ["up" if u else "down" for u in up]
 
 
-def _born_worker(job, master_seed: int, index: int) -> int:
-    """1 if the trial ends "up", else 0: summed, the up count."""
+def _born_worker(job, master_seed: int, indices) -> int:
+    """The block's up count."""
     cfg, params = job
-    return int(born_trial(cfg, params, trajectory_rng(master_seed, index)) == "up")
+
+    def ups(part):
+        rngs = [trajectory_rng(master_seed, i) for i in part]
+        return [int(o == "up") for o in born_trials(cfg, params, rngs)]
+
+    return _initial_hybrid(cfg).block_sum(indices, ups)
 
 
 def born_ensemble(
@@ -267,7 +285,7 @@ class _DecoherenceSetup:
 
     start: _Start
     dt: float
-    times: tuple[float, ...]
+    times: np.ndarray  # (S,)
     phases: np.ndarray  # (S, N)
     packets: np.ndarray  # (2, N)
 
@@ -281,40 +299,48 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
     phases = np.stack([drift_phase(grid, t, cfg.mass) for t in times])
     spectra = np.fft.fft(np.stack([phi_l.amps, phi_r.amps]))
     packets = np.conj(spectra) * (grid.dx / grid.n_points)
-    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), dt, tuple(times),
+    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), dt, _frozen(np.array(times)),
                              _frozen(phases), _frozen(packets))
 
 
-def _coherence_samples(job, master_seed: int, index: int) -> np.ndarray:
-    """One trajectory; returns a_L * conj(a_R) at the sample times.
+def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
+    """The trajectories of one pass; returns a_L * conj(a_R) at the sample
+    times, one row per trajectory.
 
     Between hits the spectrum drifts by a phase, so each sample's overlaps
     are read in k space from the anchor's spectrum drifted back to t = 0
     (FreeFlight.origin_spectrum, one per anchor) and the set-up's tables.
     """
     cfg, params, d, stream = job
-    rng = trajectory_rng(master_seed, index, stream)
     setup = _decoherence_setup(cfg, params, d)
+    times = setup.times
+    rngs = [trajectory_rng(master_seed, i, stream) for i in indices]
     rate = params.total_rate_internal()
-    evolution = setup.start.flight(setup.dt, cfg.mass)
-    out = []
-    process = grw_process(evolution, rate, params.r_c, setup.times[-1], setup.times, rng)
-    for _, evolution, event in process:
-        if event is None:
-            chi = evolution.origin_spectrum()[0]
-            a_l, a_r = setup.packets @ (setup.phases[len(out)] * chi)
-            out.append(a_l * np.conj(a_r))
-    return np.asarray(out, dtype=np.complex128)
+    evolution = setup.start.flight(setup.dt, cfg.mass, len(rngs))
+    out = np.empty((len(rngs), len(times)), dtype=np.complex128)
+    for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
+        # each running row's anchor serves its samples lo <= s < hi
+        lo = np.searchsorted(times, evolution.t)
+        hi = np.searchsorted(times, rnd.t_next)
+        chi = evolution.origin_spectrum()[:, 0]
+        for s in range(lo.min(), hi.max()):
+            due = (lo <= s) & (s < hi)
+            overlaps = np.matmul(setup.packets, (setup.phases[s] * chi[due])[:, :, None])
+            for w, (a_l, a_r) in zip(rnd.rows[due], overlaps[:, :, 0]):
+                out[w, s] = a_l * np.conj(a_r)
+    return out
 
 
-def _coherence_terms(job, master_seed: int, index: int):
-    """One trajectory's summands: its coherence trace c, x = |c_last| - |c_0|
-    and x^2.  Every trajectory has the same c_0, so the sums of x and x^2 give
-    the spread of |c_last| for the flat-coherence estimate without the
-    cancellation of raw sums."""
-    c = _coherence_samples(job, master_seed, index)
-    x = abs(c[-1]) - abs(c[0])
-    return c, x, x * x
+def _coherence_terms(job, master_seed: int, indices):
+    """The block's sums of each trajectory's coherence trace c, of
+    x = |c_last| - |c_0| and of x^2.  Every trajectory has the same c_0, so
+    the sums of x and x^2 give the spread of |c_last| for the flat-coherence
+    estimate without the cancellation of raw sums."""
+    def terms(part):
+        return [(c, x, x * x) for c in _coherence_samples(job, master_seed, part)
+                for x in [abs(c[-1]) - abs(c[0])]]
+
+    return _decoherence_setup(*job[:3]).start.block_sum(indices, terms)
 
 
 def decoherence_scan(
@@ -411,12 +437,13 @@ class VisibilityConfig:
 
 
 def momentum_screen(amps: np.ndarray, grid: Grid1D, pad: int = 8) -> np.ndarray:
-    """Far-field intensity |psi(p)|^2 on screen_axis(grid, pad).
+    """Far-field intensity |psi(p)|^2 on screen_axis(grid, pad), one row per
+    state in amps (N,) or (W, N).
 
     Zero-padding by `pad` evaluates the transform on a p grid `pad` times
     finer; this is exact interpolation for a state supported inside the box.
     """
-    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * pad))
+    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * pad), axes=-1)
     return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
 
 
@@ -432,19 +459,28 @@ def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
     return _Start.of(grid, psi0.amps[None])
 
 
-def _screen_worker(job, master_seed: int, index: int) -> np.ndarray:
+def _screen_worker(job, master_seed: int, indices) -> np.ndarray:
+    """The block's summed far-field screens, each read from one drift of
+    its trajectory's last anchor to t_flight."""
     cfg, params, d, t_flight = job
-    rng = trajectory_rng(master_seed, index)
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
     # dt only feeds flight's step guard: the arms fly exactly t_flight
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
-    evolution = start.flight(dt, cfg.mass)
-    process = grw_process(evolution, rate, params.r_c, t_flight, [t_flight], rng)
-    for t, evolution, event in process:
-        if event is None:
-            amps = evolution.at(t)
-    return momentum_screen(amps[0], start.grid)
+
+    def screens(part):
+        rngs = [trajectory_rng(master_seed, i) for i in part]
+        evolution = start.flight(dt, cfg.mass, len(rngs))
+        out = [None] * len(rngs)
+        for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
+            done = rnd.t_next > t_flight
+            if done.any():
+                amps = evolution.at(t_flight, done)[:, 0]
+                for w, screen in zip(rnd.rows[done], momentum_screen(amps, start.grid)):
+                    out[w] = screen
+        return out
+
+    return start.block_sum(indices, screens)
 
 
 def fringe_contrast(
@@ -509,7 +545,7 @@ def visibility_experiment(
     # no-collapse control is deterministic: a single trajectory suffices
     control_params = CollapseParams(0.0, params.r_c, params.n_nucleons)
     job0 = (cfg, control_params, d, t_flight)
-    ideal = _screen_worker(job0, master_seed, 0)
+    ideal = _screen_worker(job0, master_seed, range(1))
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
     # the batch-means batches are the ensemble's groups: one summed screen each
@@ -576,28 +612,33 @@ def _heating_times(cfg: HeatingConfig, t_total: float) -> list[float]:
     return sample_times(dt, step_count(t_total, dt), cfg.sample_every)
 
 
-def _heating_worker(job, master_seed: int, index: int):
-    """One trajectory; returns (energy, <p^2>, hit count) at _heating_times.
+def _heating_worker(job, master_seed: int, indices):
+    """The block's summed (energy, <p^2>, hit count) at _heating_times.
 
-    Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m are
-    read from the spectrum of the anchor (the state after the last hit),
-    and the state itself is never rebuilt at a sample.
+    Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m at a
+    sample are those of the anchor then held, read once per anchor from its
+    spectrum: the state is never rebuilt at a sample.
     """
     cfg, params, t_total = job
-    rng = trajectory_rng(master_seed, index)
     start = _one_packet(cfg)
-    times = _heating_times(cfg, t_total)
+    times = np.array(_heating_times(cfg, t_total))
     rate = params.total_rate_internal(cfg.mass)
-    evolution = start.flight(cfg.dt_internal, cfg.mass)
-    p2, hits = [], 0
-    process = grw_process(evolution, rate, params.r_c, times[-1], times, rng)
-    for _, evolution, event in process:
-        if event is None:
-            p2.append(momentum_moments(evolution.spectrum()[0], start.grid)[1])
-        else:
-            hits += 1
-    p2 = np.array(p2)
-    return p2 / (2.0 * cfg.mass), p2, hits
+
+    def curves(part):
+        rngs = [trajectory_rng(master_seed, i) for i in part]
+        evolution = start.flight(cfg.dt_internal, cfg.mass, len(rngs))
+        p2 = np.empty((len(rngs), len(times)))
+        hits = [0] * len(rngs)
+        for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):
+            anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid)[1]
+            lo = np.searchsorted(times, evolution.t)
+            hi = np.searchsorted(times, rnd.t_next)
+            for w, value, a, b in zip(rnd.rows, anchor_p2, lo, hi):
+                p2[w, a:b] = value
+                hits[w] = r
+        return [(p / (2.0 * cfg.mass), p, h) for p, h in zip(p2, hits)]
+
+    return start.block_sum(indices, curves)
 
 
 def heating_experiment(

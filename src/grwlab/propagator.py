@@ -61,14 +61,16 @@ def _check_guards(grid: Grid1D, v: np.ndarray, dt: float, mass: float) -> None:
         )
 
 
-def drift_phase(grid: Grid1D, tau: float, mass: float) -> np.ndarray:
+def drift_phase(grid: Grid1D, tau, mass: float) -> np.ndarray:
     """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau.
 
-    k^2 takes n/2 + 1 distinct values, k[0..n/2]; k[n - j] = -k[j] exactly,
-    so the exponential is taken on those and mirrored.
+    tau is one time (phase (N,)) or one per row (phase (W, N)).  k^2 takes
+    n/2 + 1 distinct values, k[0..n/2]; k[n - j] = -k[j] exactly, so the
+    exponential is taken on those and mirrored.
     """
-    half = np.exp(-0.5j * tau * k_squared(grid)[: grid.n_points // 2 + 1] / mass)
-    return np.concatenate((half, half[-2:0:-1]))
+    k2 = k_squared(grid)[: grid.n_points // 2 + 1]
+    half = np.exp(-0.5j * np.asarray(tau)[..., None] * k2 / mass)
+    return np.concatenate((half, half[..., -2:0:-1]), axis=-1)
 
 
 class Stepper:
@@ -93,12 +95,12 @@ class Stepper:
 
 
 class FreeFlight:
-    """Exact free evolution of an array of rows from an anchor state.
+    """Exact free evolution of (W, K, N) rows, each row from its own anchor.
 
-    Rows anchored at time t_a (first at t = 0) reach any time t in one
-    k-space drift, ifft(drift_phase(t - t_a) * fft(rows)).  The anchor's
+    Row w, anchored at time t[w] (first at t = 0), reaches any time in one
+    k-space drift, ifft(drift_phase(t - t[w]) * fft(rows[w])).  The anchors'
     transform is taken when first needed and reused until the next anchor,
-    so reading the state at several times costs one inverse FFT each.
+    so reading the rows at several times costs one inverse FFT each.
     spectrum, when given, is fft(amps) of the first anchor, precomputed.
     """
 
@@ -106,16 +108,15 @@ class FreeFlight:
         self, grid: Grid1D, mass: float, amps: np.ndarray,
         spectrum: np.ndarray | None = None,
     ):
-        self.grid = grid
-        self.mass = mass
-        self.anchor(amps, 0.0)
+        self.grid, self.mass = grid, mass
+        self.anchor(amps, np.zeros(len(amps)))
         self._phi = spectrum
 
-    def anchor(self, amps: np.ndarray, t: float) -> None:
+    def anchor(self, amps: np.ndarray, t: np.ndarray) -> None:
         self.amps, self.t, self._phi, self._chi = amps, t, None, None
 
-    def event_time(self, t: float) -> float:
-        """The time at which an event due at t is applied: t itself."""
+    def event_time(self, t: np.ndarray) -> np.ndarray:
+        """The times at which events due at t are applied: t itself."""
         return t
 
     def spectrum(self) -> np.ndarray:
@@ -125,56 +126,63 @@ class FreeFlight:
         return self._phi
 
     def origin_spectrum(self) -> np.ndarray:
-        """The anchor's spectrum drifted back to t = 0: until the next anchor,
-        the spectrum at any time t is drift_phase(t) * origin_spectrum()."""
+        """The anchors' spectra drifted back to t = 0: until the next anchor,
+        row w's spectrum at any time t is drift_phase(t) * origin_spectrum()[w]."""
         if self._chi is None:
-            self._chi = drift_phase(self.grid, -self.t, self.mass) * self.spectrum()
+            phase = drift_phase(self.grid, -self.t, self.mass)
+            self._chi = phase[:, None, :] * self.spectrum()
         return self._chi
 
-    def at(self, t: float) -> np.ndarray:
-        if t == self.t:
-            return self.amps
-        phase = drift_phase(self.grid, t - self.t, self.mass)
-        return np.fft.ifft(phase * self.spectrum())
+    def at(self, t, rows=slice(None)) -> np.ndarray:
+        """The selected rows at time t; a row read at its anchor time is its anchor."""
+        tau = t - self.t[rows]
+        out = drift_phase(self.grid, tau, self.mass)[:, None, :] * self.spectrum()[rows]
+        np.fft.ifft(out, out=out)
+        same = tau == 0
+        if same.any():
+            out[same] = self.amps[rows][same]
+        return out
 
 
 class SteppedFlight:
-    """Strang steps of stepper.dt; the state exists at step boundaries only.
+    """Strang steps of stepper.dt on the (1, K, N) rows of one trajectory.
 
-    Reading the state at a later time steps the current rows forward, which
+    The rows exist at step boundaries only; events fall on the nearest
+    boundary.  Reading the rows at a later time steps them forward, which
     gives the same bits as stepping from the last anchor.
     """
 
     def __init__(self, stepper: Stepper, amps: np.ndarray):
-        self.stepper = stepper
-        self.grid = stepper.grid
-        self.anchor(amps, 0.0)
+        if len(amps) != 1:
+            raise DomainError(f"a stepped flight carries one trajectory, got {len(amps)}")
+        self.stepper, self.grid = stepper, stepper.grid
+        self.anchor(amps, np.zeros(1))
 
-    def _boundary(self, t: float) -> int:
-        return int(round(t / self.stepper.dt))
+    def _boundary(self, t) -> int:
+        return int(np.rint(np.ravel(t)[0] / self.stepper.dt))
 
-    def anchor(self, amps: np.ndarray, t: float) -> None:
-        self.amps, self.b = amps, self._boundary(t)
+    def anchor(self, amps: np.ndarray, t: np.ndarray) -> None:
+        self.amps, self.t, self.b = amps, t, self._boundary(t)
 
-    def event_time(self, t: float) -> float:
-        """The time at which an event due at t is applied: the nearest boundary."""
-        return self._boundary(t) * self.stepper.dt
+    def event_time(self, t: np.ndarray) -> np.ndarray:
+        """The times at which events due at t are applied: the nearest boundary."""
+        return np.rint(t / self.stepper.dt) * self.stepper.dt
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t, rows=slice(None)) -> np.ndarray:
         b = self._boundary(t)
         if b < self.b:
             raise DomainError(f"cannot step back from boundary {self.b} to {b}")
         for _ in range(b - self.b):
             self.amps = self.stepper.step(self.amps)
         self.b = b
-        return self.amps
+        return self.amps[rows]
 
 
 def flight(
     grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray,
     *, _spectrum: np.ndarray | None = None,
 ) -> FreeFlight | SteppedFlight:
-    """The evolution of rows amps from t = 0 under v.
+    """The evolution of (W, K, N) rows amps from t = 0 under v.
 
     Free evolution is exact (FreeFlight); any other potential takes Strang
     steps of dt (SteppedFlight).  Both check dt against the step guards.
@@ -199,7 +207,8 @@ def split_step(
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     if n_steps == 0:
         return psi
-    return psi.with_amps(flight(psi.grid, v, dt, psi.mass, psi.amps).at(n_steps * dt))
+    rows = flight(psi.grid, v, dt, psi.mass, psi.amps[None, None]).at(n_steps * dt)
+    return psi.with_amps(rows[0, 0])
 
 
 def spread_analytic(sigma0: float, mass: float, t: float) -> float:

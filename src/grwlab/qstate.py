@@ -161,16 +161,17 @@ def superpose(
     return out.normalized()
 
 
-def momentum_moments(phi: np.ndarray, grid: Grid1D) -> tuple[float, float]:
-    """<p> and <p^2> of a state from its FFT phi (any normalization).
+def momentum_moments(phi: np.ndarray, grid: Grid1D):
+    """<p> and <p^2> of a state from its FFT phi (any normalization), or of
+    each row of a (W, N) phi.
 
     A free drift only changes the phase of phi, so both stay fixed between
     localization hits.
     """
     rho_k = np.abs(phi) ** 2
-    nk = float(np.sum(rho_k))
-    mean_p = float(np.sum(grid.k * rho_k) / nk)
-    mean_p2 = float(np.sum(k_squared(grid) * rho_k) / nk)
+    nk = np.sum(rho_k, axis=-1)
+    mean_p = np.sum(grid.k * rho_k, axis=-1) / nk
+    mean_p2 = np.sum(k_squared(grid) * rho_k, axis=-1) / nk
     return mean_p, mean_p2
 
 
@@ -191,7 +192,7 @@ def observables(psi: WaveFunction, potential=None) -> dict[str, float]:
     mean_x = float(np.sum(x * rho) * dx / n2)
     var_x = float(np.sum((x - mean_x) ** 2 * rho) * dx / n2)
 
-    mean_p, mean_p2 = momentum_moments(np.fft.fft(amps), psi.grid)
+    mean_p, mean_p2 = map(float, momentum_moments(np.fft.fft(amps), psi.grid))
     var_p = mean_p2 - mean_p**2
 
     kinetic = mean_p2 / (2.0 * psi.mass)

@@ -191,6 +191,24 @@ def test_threads_env_default(tmp_path, monkeypatch):
     assert _read_manifest(out)["threads"] == 3
 
 
+_EVOLVE = ["evolve", "--grid-n", "256", "--grid-extent", "64",
+           "--t-total-internal", "0.5", "--dt-internal", "0.005"]
+
+
+@pytest.mark.parametrize("threads", ["x", "1.5", "0", "-2"])
+def test_bad_thread_flag_is_exit_one(tmp_path, capsys, threads):
+    code = run(_EVOLVE + ["--threads", threads, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["0", "-3", "x", "1.5"])
+def test_bad_thread_environment_is_exit_one(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("GRWLAB_THREADS", env)
+    assert run(_EVOLVE + ["--out", str(tmp_path / "x")]) == 1
+    assert "GRWLAB_THREADS" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)

@@ -51,9 +51,11 @@ def test_waiting_times_exponential(rng):
     assert taus.std() == pytest.approx(1.0 / rate, rel=0.03)
     # at rate zero the process draws no waiting time and makes no hit
     psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 1.0)
-    evolution = flight(GRID, Potential.free(), 0.004, 1.0, psi.amps[None])
-    process = grw_process(evolution, 0.0, 1.0, 2.0, [0.0, 1.0, 2.0], rng)
-    assert [event for _, _, event in process] == [None] * 3
+    evolution = flight(GRID, Potential.free(), 0.004, 1.0, psi.amps[None, None])
+    state = rng.bit_generator.state
+    [only] = grw_process(evolution, 0.0, 1.0, 2.0, [rng])
+    assert only.centers is None and only.t_next.tolist() == [np.inf]
+    assert rng.bit_generator.state == state
 
 
 def test_localization_amplitude_shape():
@@ -245,6 +247,20 @@ def test_hits_across_periodic_seam_stay_on_grid():
         apply_hit(psi.amps, grid, a, 1.0)
 
 
+def _process_items(rows, t_end, times, rng):
+    """A one-row pass of grw_process as (t, rows at t, hit center or None),
+    hits and samples in time order, a hit first at the time of a sample."""
+    evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows[None])
+    items, s = [], 0
+    for rnd in grw_process(evolution, 4.0, 1.0, t_end, [rng]):
+        if rnd.centers is not None:
+            items.append((evolution.t[0], evolution.amps[0], rnd.centers[0]))
+        while s < len(times) and times[s] < rnd.t_next[0]:
+            items.append((times[s], evolution.at(times[s])[0], None))
+            s += 1
+    return items
+
+
 def test_grw_process_identical_rows_follow_one_state():
     # two equal branch rows carry the same density as the state they split,
     # so they draw the same hits and each row stays that state / sqrt(2)
@@ -256,15 +272,12 @@ def test_grw_process_identical_rows_follow_one_state():
     times = [b * 0.01 for b in range(201)]
     runs = []
     for rows in (psi.amps[None], np.stack([psi.amps, psi.amps]) / np.sqrt(2.0)):
-        evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows)
-        process = grw_process(evolution, 4.0, 1.0, 2.0, times, trajectory_rng(8, 0))
-        out = [(t, ev.at(t), e) for t, ev, e in process]
-        runs.append(([e for _, _, e in out if e is not None], [a for _, a, _ in out]))
+        out = _process_items(rows, 2.0, times, trajectory_rng(8, 0))
+        runs.append(([c for _, _, c in out if c is not None], [a for _, a, _ in out]))
     (ev1, one), (ev2, two) = runs
     assert len(ev1) > 2
     assert len(one) == len(two) == len(times) + len(ev1)
-    np.testing.assert_allclose([e.center for e in ev2], [e.center for e in ev1],
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ev2, ev1, rtol=0, atol=1e-12)
     for a, b in zip(one, two):
         for row in b:
             np.testing.assert_allclose(row, a[0] / np.sqrt(2.0), rtol=0, atol=1e-12)
@@ -275,17 +288,18 @@ def test_grw_process_hit_is_density_draw_and_apply():
     # apply_hit on the rows at the hit time, drawing from the same stream
     rows = np.stack([gaussian_packet(GRID, x, 0.0, 1.0, 50.0).amps
                      for x in (-6.0, 6.0)]) / np.sqrt(2.0)
-    evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows)
-    process = grw_process(evolution, 4.0, 1.0, 2.0, [], trajectory_rng(9, 0))
-    t, evolution, event = next(process)
+    evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows[None])
+    process = grw_process(evolution, 4.0, 1.0, 2.0, [trajectory_rng(9, 0)])
+    first, hit = next(process), next(process)
+    t = evolution.t[0]
 
     rng = trajectory_rng(9, 0)
     t_hit = exponential_variate(rng, 4.0)
-    before = flight(GRID, Potential.free(), 0.01, 50.0, rows).at(t_hit)
+    before = flight(GRID, Potential.free(), 0.01, 50.0, rows[None]).at(t_hit)[0]
     a = sample_hit_center(hit_position_density(before, GRID, 1.0), GRID, rng)
     after, weight = apply_hit(before, GRID, a, 1.0)
-    assert (t, event.t, event.center, event.branch_weight) == (t_hit, t_hit, a, weight)
-    assert evolution.at(t).tobytes() == after.tobytes()
+    assert (first.t_next[0], t, hit.centers[0], hit.weights[0]) == (t_hit, t_hit, a, weight)
+    assert evolution.at(t)[0].tobytes() == after.tobytes()
 
 
 def test_stream_tags_give_distinct_streams():

@@ -12,7 +12,7 @@ import pytest
 from grwlab import ensemble, experiments
 from grwlab.cli import run
 from grwlab.collapse import CollapseParams
-from grwlab.ensemble import BLOCKS, block_ranges, group_blocks, map_trajectories
+from grwlab.ensemble import BLOCKS, block_ranges, group_blocks, map_trajectories, total
 from grwlab.errors import (
     BoundsParseError,
     DecisionTimeoutError,
@@ -31,28 +31,29 @@ from grwlab.experiments import (
 from grwlab.units import convert_rate_to_si
 
 
-def _label(job, master_seed, index):
+def _label(job, master_seed, indices):
     # strings add by concatenation, so a block sum spells out its order
-    return f"{job}{master_seed}:{index};"
+    return "".join(f"{job}{master_seed}:{index};" for index in indices)
 
 
-def _rounding(job, master_seed, index):
+def _rounding(job, master_seed, indices):
     # sums of these depend on the order of the additions in the last bits
-    return np.array([0.1 * 3.0**index, 1.0 / (index + 7)]) * job
+    return total([np.array([0.1 * 3.0**index, 1.0 / (index + 7)]) * job
+                  for index in indices])
 
 
-def _fails_at_two(job, master_seed, index):
-    if index == 2:
+def _fails_at_two(job, master_seed, indices):
+    if 2 in indices:
         raise ZeroSupportError("hit on nothing")
-    return index
+    return sum(indices)
 
 
-def _dies(job, master_seed, index):
+def _dies(job, master_seed, indices):
     os._exit(3)
 
 
 def _spelled(job, indices):
-    return "".join(_label(job, 9, i) for i in indices)
+    return _label(job, 9, indices)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -87,9 +88,9 @@ def test_block_sums_are_bit_identical_for_any_thread_count():
     for blocks, group_sum in zip(group_blocks(n, groups), sums[1]):
         partials = []
         for r in blocks:
-            partial = _rounding(1.5, 0, r[0])
+            partial = _rounding(1.5, 0, r[:1])
             for i in r[1:]:
-                partial = partial + _rounding(1.5, 0, i)
+                partial = partial + _rounding(1.5, 0, [i])
             partials.append(partial)
         expected = partials[0]
         for partial in partials[1:]:
@@ -176,7 +177,7 @@ def test_errors_with_extra_fields_survive_pickling(exc, attr):
     assert getattr(back, attr) == getattr(exc, attr)
 
 
-def _raises_snapshot_error(job, master_seed, index):
+def _raises_snapshot_error(job, master_seed, indices):
     raise SnapshotFormatError("bad magic", 3)
 
 

@@ -13,7 +13,7 @@ from grwlab.experiments import (
     VisibilityConfig,
     born_ensemble,
     _heating_worker,
-    born_trial,
+    born_trials,
     decoherence_scan,
     fringe_contrast,
     heating_experiment,
@@ -36,7 +36,7 @@ def _params(lambda_internal, r_c, **kw):
 def test_born_trial_decides():
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5))
     params = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
-    outcome = born_trial(cfg, params, trajectory_rng(0, 0))
+    [outcome] = born_trials(cfg, params, [trajectory_rng(0, 0)])
     assert outcome in ("up", "down")
 
 
@@ -67,7 +67,7 @@ def test_born_budget_is_hits_budget_over_rate():
     decided = []
     for i in range(30):
         try:
-            born_trial(cfg, params, trajectory_rng(4, i))
+            born_trials(cfg, params, [trajectory_rng(4, i)])
             decided.append(True)
         except DecisionTimeoutError:
             decided.append(False)
@@ -199,7 +199,7 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    energy, p2, hits = _heating_worker((cfg, params, t_total), 3, 0)
+    energy, p2, hits = _heating_worker((cfg, params, t_total), 3, [0])
     t = experiments._heating_times(cfg, t_total)
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
@@ -245,24 +245,25 @@ def _x_space_coherence(job, master_seed, index):
     phi_r = gaussian_packet(grid, +d / 2.0, 0.0, sigma, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
     dt, times = experiments._decoherence_grid(cfg, params, d)
-    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None])
+    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None, None])
     rng = trajectory_rng(master_seed, index, stream)
     out, hits = [], 0
-    for t, evolution, event in grw_process(
-        evolution, params.total_rate_internal(), params.r_c, times[-1], times, rng
+    for rnd in grw_process(
+        evolution, params.total_rate_internal(), params.r_c, times[-1], [rng]
     ):
-        if event is None:
-            psi_t = psi.with_amps(evolution.at(t)[0])
+        hits += rnd.centers is not None
+        for t in times[len(out):]:
+            if t >= rnd.t_next[0]:
+                break
+            psi_t = psi.with_amps(evolution.at(t)[0, 0])
             out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
-        else:
-            hits += 1
     return np.array(out), hits
 
 
 @pytest.mark.parametrize("d", [0.5, 2.0, 10.0])
 def test_decohere_k_space_samples_match_x_space_overlaps(d):
     job = _decohere_job(d)
-    fast = experiments._coherence_samples(job, 8, 1)
+    [fast] = experiments._coherence_samples(job, 8, [1])
     slow, hits = _x_space_coherence(job, 8, 1)
     assert hits >= 1 and len(fast) == len(slow) >= 17
     # relative to the initial coherence: after a hit at d = 10 r_c the
@@ -280,20 +281,19 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
     real_process, at_samples = experiments.grw_process, []
 
     def watched(*args):
-        for item in real_process(*args):
+        for rnd in real_process(*args):
             before = len(calls)
-            yield item
-            if item[2] is None:
-                at_samples.append(calls[before:])
+            yield rnd
+            at_samples.append(calls[before:])
 
     monkeypatch.setattr(experiments, "grw_process", watched)
     job = _decohere_job(2.0)
-    experiments._coherence_samples(job, 1, 0)  # builds the set-up
+    experiments._coherence_samples(job, 1, [0])  # builds the set-up
     calls.clear()
     at_samples.clear()
-    samples = experiments._coherence_samples(job, 1, 0)
+    [samples] = experiments._coherence_samples(job, 1, [0])
     hits = calls.count("irfft")  # one density convolution per hit
-    assert hits >= 1 and len(at_samples) == len(samples) >= 17
+    assert hits >= 1 and len(at_samples) == hits + 1 and len(samples) >= 17
     # a sample reads the anchor's spectrum, taken once per anchor and reused
     # by the next hit; it takes no inverse FFT
     assert sum(at_samples, []) == ["fft"] * hits
@@ -305,7 +305,7 @@ def test_ensemble_set_up_is_read_only():
     setup = experiments._decoherence_setup(*job[:3])
     arrays = [setup.start.rows, setup.start.spectrum, setup.phases, setup.packets]
     before = [a.copy() for a in arrays]
-    experiments._coherence_samples(job, 2, 0)
+    experiments._coherence_samples(job, 2, [0])
     for a, b in zip(arrays, before):
         assert a.tobytes() == b.tobytes()
         with pytest.raises(ValueError):

@@ -1,0 +1,110 @@
+"""The lockstep driver: a block's trajectories advance together, yet every
+block sum has the bits of its trajectories run one at a time, and a failure
+names a trajectory whose lone run fails the same way."""
+
+import numpy as np
+import pytest
+
+from grwlab import experiments
+from grwlab.collapse import CollapseParams
+from grwlab.ensemble import total
+from grwlab.errors import DecisionTimeoutError, DomainError
+from grwlab.experiments import (
+    DecoherenceConfig,
+    HeatingConfig,
+    MeasurementConfig,
+    VisibilityConfig,
+    born_ensemble,
+    born_trials,
+    decoherence_scan,
+)
+from grwlab.rngstream import exponential_variate, trajectory_rng
+from grwlab.units import convert_rate_to_si
+
+
+def _params(lambda_internal, r_c, **kw):
+    return CollapseParams(convert_rate_to_si(lambda_internal), r_c, **kw)
+
+
+# pointers 8 r_c apart: a hit between them leaves both branches weight, so
+# a trial decides after one to a few hits
+_BORN = MeasurementConfig(c_up=np.sqrt(0.3), c_down=np.sqrt(0.7), pointer_separation=8.0)
+_VISIBILITY = VisibilityConfig(grid_n=512)
+# (worker, job): one ensemble of each experiment at small size
+WORKERS = {
+    "born": (experiments._born_worker,
+             (_BORN, _params(1.0, 1.0, n_nucleons=_BORN.pointer_n_nucleons))),
+    "decohere": (experiments._coherence_terms,
+                 (DecoherenceConfig(grid_n=512, n_samples=6), _params(2.0, 1.0), 2.0, 1)),
+    "visibility": (experiments._screen_worker, (_VISIBILITY, _params(1.0, 4.0), 64.0, 1.0)),
+    "heating": (experiments._heating_worker, (HeatingConfig(), _params(4.0, 1.0), 1.5)),
+}
+
+
+def _bytes(result):
+    """The bits of a block sum: arrays, tuples of them, or numbers."""
+    if isinstance(result, tuple):
+        return [_bytes(r) for r in result]
+    return np.asarray(result).tobytes()
+
+
+@pytest.mark.parametrize("points", [None, 1024])
+@pytest.mark.parametrize("name", list(WORKERS))
+def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
+    # a budget of 1024 points cuts every pass to one or two rows, so a block
+    # of 20 takes 10 to 20 passes; at the default budget born's takes 3
+    if points:
+        monkeypatch.setattr(experiments, "PASS_POINTS", points)
+    worker, job = WORKERS[name]
+    block = range(5, 25)
+    lone = [worker(job, 3, [i]) for i in block]
+    assert _bytes(worker(job, 3, block)) == _bytes(total(lone))
+
+
+def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
+    # the running rows of each round of each pass: visibility's block above
+    # has rows that leave unhit while others take a hit, and born's has rows
+    # that decide while others need more hits
+    real, sizes = experiments.grw_process, []
+
+    def watched(*args):
+        sizes.append([])
+        for rnd in real(*args):
+            sizes[-1].append(len(rnd.rows))
+            yield rnd
+
+    monkeypatch.setattr(experiments, "grw_process", watched)
+    for name in ("visibility", "born"):
+        worker, job = WORKERS[name]
+        sizes.clear()
+        worker(job, 3, range(5, 25))
+        assert len(sizes) == (1 if name == "visibility" else 3)
+        assert any(a > b > 0 for s in sizes for a, b in zip(s, s[1:])), (name, sizes)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
+    # a budget of 0.4 expected hits: trials whose first hit comes later time
+    # out; at n = 96 the blocks hold 3 trials, so a pass of mixed trials
+    # raises for one of them
+    cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
+                            hits_budget=0.4, hit_resolution=1.0)
+    params = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
+    rate = params.total_rate_internal()
+    late = [exponential_variate(trajectory_rng(1, i), rate) > 0.4 / rate
+            for i in range(96)]
+    i = late.index(True)
+    assert not all(late[3 * (i // 3):3 * (i // 3) + 3])
+    with pytest.raises(DecisionTimeoutError) as info:
+        born_ensemble(cfg, params, 96, master_seed=1, threads=threads)
+    with pytest.raises(DecisionTimeoutError) as alone:
+        born_trials(cfg, params, [trajectory_rng(1, i)])
+    assert str(info.value) == f"trajectory {i} of seed 1: {alone.value}"
+
+
+def test_pass_failure_names_its_stream():
+    # r_c > extent / 8 fails every row's first hit; separation j is stream j
+    cfg = DecoherenceConfig(grid_n=512, n_samples=4)
+    with pytest.raises(DomainError) as info:
+        decoherence_scan([2.0, 10.0], _params(2.0, 5.0), 6, cfg, master_seed=3)
+    assert str(info.value).startswith("trajectory 0 of seed 3, stream 0: r_c = 5.0")

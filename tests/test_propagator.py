@@ -127,7 +127,7 @@ def test_free_flight_matches_free_steps_across_hits():
     psi = gaussian_packet(GRID, -2.0, 0.5, sigma=2.0, mass=mass)
     hits = [(37, -1.0), (38, 0.5), (140, 2.0), (300, -0.5)]
     stepper = Stepper(GRID, Potential.free(), dt, mass)
-    stepped, flight, b = psi.amps, FreeFlight(GRID, mass, psi.amps), 0
+    stepped, flight, b = psi.amps, FreeFlight(GRID, mass, psi.amps[None, None]), 0
     for b_hit, a in hits:
         for _ in range(b_hit - b):
             stepped = stepper.step(stepped)
@@ -135,15 +135,16 @@ def test_free_flight_matches_free_steps_across_hits():
         g = np.exp(-((GRID.x - a) ** 2) / (2 * r_c**2))
         stepped = g * stepped / np.sqrt(np.sum(np.abs(g * stepped) ** 2) * GRID.dx)
         exact = g * flight.at(b_hit * dt)
-        flight.anchor(exact / np.sqrt(np.sum(np.abs(exact) ** 2) * GRID.dx), b_hit * dt)
+        flight.anchor(exact / np.sqrt(np.sum(np.abs(exact) ** 2) * GRID.dx),
+                      np.array([b_hit * dt]))
     for _ in range(400 - b):
         stepped = stepper.step(stepped)
-    np.testing.assert_allclose(flight.at(400 * dt), stepped, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(flight.at(400 * dt)[0, 0], stepped, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_stepper_rows_match_single_steps_bitwise(n):
-    # grw_process evolves all branch rows in one call; each row must come out
+    # the driver steps all rows in one call; each row must come out
     # exactly as if evolved alone, or multi-branch runs would lose their bytes
     grid = Grid1D.centered(n, 64.0)
     rows = np.stack([
