@@ -224,9 +224,15 @@ class Round(NamedTuple):
     """One round of grw_process, yielded before its hits."""
 
     rows: np.ndarray  # positions in the pass of the rows still running
+    t: np.ndarray  # each one's anchor time
     t_next: np.ndarray  # each one's next hit time (inf: none); inf stops a row
     centers: np.ndarray | None  # the hits that made the anchors (None in round 0)
     weights: np.ndarray | None  # and their branch weights
+
+    def samples(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per running row, the indices lo <= s < hi of the sorted samples its
+        anchor serves: times in [t, t_next), so a hit at a sample's comes first."""
+        return np.searchsorted(times, self.t), np.searchsorted(times, self.t_next)
 
 
 def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
@@ -240,10 +246,9 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
     multiplies them all by L(a) and renormalizes them jointly.
 
     Round r yields while each running row holds its anchor after r hits
-    (evolution.amps, from times evolution.t), which serves its samples in
-    [evolution.t, t_next): a hit at a sample's time comes first.  The consumer
-    may stop a row by setting its t_next to inf.  Then rows whose next hit is
-    past t_end leave, and the rest take it.
+    (evolution.amps, from times evolution.t), which serves the samples that
+    Round.samples names.  The consumer may stop a row by setting its t_next
+    to inf.  Then rows whose next hit is past t_end leave; the rest take it.
     """
     grid = evolution.grid
     rows = np.arange(len(rngs))
@@ -251,7 +256,7 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
     centers = weights = None
     while True:
         t_next = evolution.event_time(t_wait)
-        yield Round(rows, t_next, centers, weights)
+        yield Round(rows, evolution.t, t_next, centers, weights)
         going = t_next <= t_end
         if going.all():
             going = slice(None)
@@ -299,9 +304,8 @@ def grw_trajectory(
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], [rng]):
         if rnd.centers is not None:
             events.append(CollapseEvent(evolution.t[0], rnd.centers[0], rnd.weights[0]))
-        for t in times[len(obs):]:
-            if t >= rnd.t_next[0]:
-                break
+        [lo], [hi] = rnd.samples(times)
+        for t in times[lo:hi]:
             amps = evolution.at(t)[0, 0]
             obs.append(observables(psi0.with_amps(amps), v))
 

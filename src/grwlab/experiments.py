@@ -319,9 +319,7 @@ def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
     evolution = setup.start.flight(setup.dt, cfg.mass, len(rngs))
     out = np.empty((len(rngs), len(times)), dtype=np.complex128)
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
-        # each running row's anchor serves its samples lo <= s < hi
-        lo = np.searchsorted(times, evolution.t)
-        hi = np.searchsorted(times, rnd.t_next)
+        lo, hi = rnd.samples(times)
         chi = evolution.origin_spectrum()[:, 0]
         for s in range(lo.min(), hi.max()):
             due = (lo <= s) & (s < hi)
@@ -631,9 +629,7 @@ def _heating_worker(job, master_seed: int, indices):
         hits = [0] * len(rngs)
         for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):
             anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid)[1]
-            lo = np.searchsorted(times, evolution.t)
-            hi = np.searchsorted(times, rnd.t_next)
-            for w, value, a, b in zip(rnd.rows, anchor_p2, lo, hi):
+            for w, value, a, b in zip(rnd.rows, anchor_p2, *rnd.samples(times)):
                 p2[w, a:b] = value
                 hits[w] = r
         return [(p / (2.0 * cfg.mass), p, h) for p, h in zip(p2, hits)]

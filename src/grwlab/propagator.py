@@ -137,7 +137,7 @@ class FreeFlight:
         """The selected rows at time t; a row read at its anchor time is its anchor."""
         tau = t - self.t[rows]
         out = drift_phase(self.grid, tau, self.mass)[:, None, :] * self.spectrum()[rows]
-        np.fft.ifft(out, out=out)
+        out = np.fft.ifft(out)
         same = tau == 0
         if same.any():
             out[same] = self.amps[rows][same]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from grwlab.collapse import (
     CollapseParams,
+    Round,
     apply_hit,
     effective_reduction_rate,
     grw_process,
@@ -251,14 +252,22 @@ def _process_items(rows, t_end, times, rng):
     """A one-row pass of grw_process as (t, rows at t, hit center or None),
     hits and samples in time order, a hit first at the time of a sample."""
     evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows[None])
-    items, s = [], 0
+    items = []
     for rnd in grw_process(evolution, 4.0, 1.0, t_end, [rng]):
         if rnd.centers is not None:
             items.append((evolution.t[0], evolution.amps[0], rnd.centers[0]))
-        while s < len(times) and times[s] < rnd.t_next[0]:
-            items.append((times[s], evolution.at(times[s])[0], None))
-            s += 1
+        [lo], [hi] = rnd.samples(times)
+        items += [(t, evolution.at(t)[0], None) for t in times[lo:hi]]
     return items
+
+
+def test_round_samples_put_a_hit_before_the_sample_at_its_time():
+    times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    rnd = Round(np.arange(3), np.array([0.0, 0.5, 0.7]),
+                np.array([0.5, 1.2, np.inf]), None, None)
+    lo, hi = rnd.samples(times)
+    # row 0's next hit falls on sample 1, which the row's next anchor serves
+    assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 3, 5]
 
 
 def test_grw_process_identical_rows_follow_one_state():

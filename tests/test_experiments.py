@@ -252,9 +252,8 @@ def _x_space_coherence(job, master_seed, index):
         evolution, params.total_rate_internal(), params.r_c, times[-1], [rng]
     ):
         hits += rnd.centers is not None
-        for t in times[len(out):]:
-            if t >= rnd.t_next[0]:
-                break
+        [lo], [hi] = rnd.samples(times)
+        for t in times[lo:hi]:
             psi_t = psi.with_amps(evolution.at(t)[0, 0])
             out.append(phi_l.overlap(psi_t) * np.conj(phi_r.overlap(psi_t)))
     return np.array(out), hits
