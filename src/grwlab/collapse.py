@@ -93,7 +93,14 @@ class TrajectoryRecord:
 
 
 def _min_image(u: np.ndarray, extent: float) -> np.ndarray:
-    return (u + 0.5 * extent) % extent - 0.5 * extent
+    """(u + extent/2) mod extent - extent/2, the offset u on the ring, for
+    |u| < 1.5 extent: any offset from a point of the box to a center at most
+    half a box outside it.  There one wrap by np.where has the bits of
+    np.remainder (an exact fmod, then one rounded add) at a fraction of its
+    cost."""
+    v = u + 0.5 * extent
+    v = np.where(v < 0.0, v + extent, np.where(v >= extent, v - extent, v))
+    return v - 0.5 * extent
 
 
 def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
@@ -138,28 +145,34 @@ def hit_position_density(rows: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarr
     return np.maximum(p, 0.0)
 
 
-def sample_hit_center(
-    p: np.ndarray, grid: Grid1D, rng: np.random.Generator
-) -> float:
-    """Inverse-CDF draw from one state's tabulated density (CDF linear within cells)."""
-    masses = p * grid.dx
-    cdf = np.cumsum(masses)
-    total = cdf[-1]
-    if total <= 0:
+def sample_hit_center(p: np.ndarray, grid: Grid1D, rng):
+    """Inverse-CDF draws from tabulated densities (CDF linear within cells):
+    a float from one state's p (N,) and its generator rng, or, from the rows
+    of p (W, N) and a sequence of W generators, one center per row, each
+    row drawing one uniform from its own generator."""
+    masses = np.atleast_2d(p) * grid.dx
+    cdf = np.cumsum(masses, axis=-1)
+    total = cdf[:, -1]
+    if (total <= 0).any():
         raise ZeroSupportError("hit-center density has zero total mass")
-    u = rng.random() * total
-    j = int(np.searchsorted(cdf, u, side="right"))
-    j = min(j, grid.n_points - 1)
-    below = cdf[j - 1] if j > 0 else 0.0
-    frac = (u - below) / masses[j] if masses[j] > 0 else 0.5
+    rngs = [rng] if np.ndim(p) == 1 else rng
+    u = np.array([g.random() for g in rngs]) * total
+    # the cell of u: the count of CDF values <= u (searchsorted, side="right")
+    j = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=-1), grid.n_points - 1)
+    rows = np.arange(len(j))
+    below = np.where(j > 0, cdf[rows, j - 1], 0.0)
+    mass = masses[rows, j]
+    frac = np.divide(u - below, mass, out=np.full_like(u, 0.5), where=mass > 0)
     # cell j is centered on grid point j; the left half of cell 0 wraps
     # around the periodic seam to the top of the box
-    return float(grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent)
+    a = grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent
+    return float(a[0]) if np.ndim(p) == 1 else a
 
 
 def localization_amplitude(grid: Grid1D, a, r_c: float) -> np.ndarray:
-    """The Gaussian factor of L(a) on the grid (minimum-image distance);
-    a (W, 1) array of centers gives one row per center."""
+    """The Gaussian factor of L(a) on the grid (minimum-image distance) for
+    a center a at most half a box outside the box; a (W, 1) array of centers
+    gives one row per center."""
     u = _min_image(grid.x - a, grid.extent)
     return (np.pi * r_c**2) ** (-0.25) * np.exp(-(u**2) / (2.0 * r_c**2))
 
@@ -266,9 +279,7 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
         else:
             return
         amps = evolution.at(t_next, going)
-        p = hit_position_density(amps, grid, r_c)
-        centers = np.array([sample_hit_center(p_w, grid, rng) for p_w, rng in zip(p, rngs)])
-        del p  # not held through the hit's temporaries
+        centers = sample_hit_center(hit_position_density(amps, grid, r_c), grid, rngs)
         amps, weights = apply_hit(amps, grid, centers, r_c)
         evolution.anchor(amps, t_next)
         t_wait = t_wait + [exponential_variate(rng, rate) for rng in rngs]

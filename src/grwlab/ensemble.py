@@ -3,11 +3,13 @@
 Workers are module-level functions fn(cfg, master_seed, indices) -> the sum
 of the results of trajectories indices, added in index order.  Each index
 derives its own Philox stream from (master_seed, index).  The indices
-0..n-1 fall into fixed blocks whose bounds depend on n and the number of
-groups the caller asks for, never on the thread count; each block is summed
-where it runs, and the parent adds the block sums in block order, so the
-outcome is independent of thread count and scheduling.  A GrwError raised
-in a block names the first of its trajectories that raises alone.
+0..n-1 fall into groups, and each group into the fewest near-equal blocks
+of at most the width the caller gives (one lockstep pass of its
+trajectories).  So the block bounds depend on n, the group count and the
+width, never on the thread count; each block is summed where it runs, and
+the parent adds the block sums in block order, so the outcome is
+independent of thread count and scheduling.  A GrwError raised in a block
+names the first of its trajectories that raises alone.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from itertools import accumulate
 
 from .errors import ConfigError, GrwError, WorkerError
 
-# Blocks per ensemble, shared evenly by its groups: four per worker at the 8
-# workers "auto" can choose.  A block is the unit of arithmetic; how many
-# blocks one pool task carries (chunks) is chosen per run and changes no sum.
-BLOCKS = 32
+# A block is the unit of arithmetic; how many blocks one pool task carries
+# (chunks) is chosen per run and changes no sum.
 CHUNKS_PER_WORKER = 4
 
 
@@ -50,10 +50,11 @@ def block_ranges(n: int, blocks: int, start: int = 0) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def group_blocks(n: int, groups: int) -> list[list[range]]:
-    """The blocks of each of the groups block_ranges(n, groups)."""
-    per_group = -(-BLOCKS // groups)
-    return [block_ranges(len(g), per_group, g.start) for g in block_ranges(n, groups)]
+def group_blocks(n: int, groups: int, width: int) -> list[list[range]]:
+    """The blocks of each of the groups block_ranges(n, groups): a group of
+    m indices falls into ceil(m / width) blocks of near-equal length."""
+    return [block_ranges(len(g), -(-len(g) // width), g.start)
+            for g in block_ranges(n, groups)]
 
 
 def _add(a, b):
@@ -88,21 +89,21 @@ def _block_sum(args):
 
 def map_trajectories(
     fn, ensembles: list[tuple], n: int, master_seed: int, threads: int = 1,
-    groups: int = 1,
+    groups: int = 1, *, width: int,
 ) -> list[list]:
     """Group sums of trajectories 0..n-1 for each (job, stream) in
     ensembles, all run in one process pool; fn(job, master_seed, block)
-    sums one block.
+    sums one block of at most width trajectories.
 
     The result holds, per ensemble, the sums over the groups
     block_ranges(n, groups) in group order; each group is the sum of its
-    group_blocks in block order.  stream is the tag the job's trajectories
-    draw from, or None; it only labels a failure.  The same bytes come back
-    for any thread count.
+    group_blocks(n, groups, width) in block order.  stream is the tag the
+    job's trajectories draw from, or None; it only labels a failure.  The
+    same bytes come back for any thread count.
     """
     if n < 1:
         raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
-    layout = group_blocks(n, groups)
+    layout = group_blocks(n, groups, width)
     keys, tasks = [], []
     for e, (job, tag) in enumerate(ensembles):
         for g, blocks in enumerate(layout):

@@ -22,7 +22,7 @@ from .collapse import (
 )
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError
-from .propagator import Potential, drift_phase, flight
+from .propagator import FreeFlight, Potential, drift_phase, flight
 from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .rngstream import trajectory_rng
@@ -57,9 +57,18 @@ class Report(dict):
 # the frozen config) and shared read-only, so no trajectory can change them.
 # ---------------------------------------------------------------------------
 
-# A pass of collapse.grw_process holds at most this many points: 8 trials of
-# born's (2, 1024) rows, 32 of heating's (1, 512).  Wider blocks take passes.
+# A block of an ensemble is one pass of collapse.grw_process, as wide as
+# this many points of its trajectories' widest arrays allow: 8 trials of
+# born's (2, 1024) rows, 32 of heating's (1, 512), 16 of decohere's (1, 1024)
+# and 2 of visibility's 8192-point screens.  Twice or four times as many
+# points make every pass's temporaries large enough to be mapped afresh from
+# the system: born then took 50,000-60,000 page faults a run instead of 18.
 PASS_POINTS = 2**14
+
+
+def _pass_width(points: int) -> int:
+    """Trajectories per block when each one's widest array has points points."""
+    return max(1, PASS_POINTS // points)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -85,15 +94,6 @@ class _Start:
         return flight(self.grid, Potential.free(), dt, mass,
                       np.broadcast_to(self.rows, shape),
                       _spectrum=np.broadcast_to(self.spectrum, shape))
-
-    def block_sum(self, indices, run_pass):
-        """Sum, in index order, of the per-trajectory results run_pass(part)
-        lists for each pass part, the next PASS_POINTS // rows.size indices."""
-        width = max(1, PASS_POINTS // self.rows.size)
-        acc = []
-        for lo in range(0, len(indices), width):
-            acc = [total(acc + run_pass(indices[lo:lo + width]))]
-        return acc[0]
 
 
 def _packet_pair(grid: Grid1D, d: float, sigma: float, mass: float):
@@ -200,12 +200,8 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
 def _born_worker(job, master_seed: int, indices) -> int:
     """The block's up count."""
     cfg, params = job
-
-    def ups(part):
-        rngs = [trajectory_rng(master_seed, i) for i in part]
-        return [int(o == "up") for o in born_trials(cfg, params, rngs)]
-
-    return _initial_hybrid(cfg).block_sum(indices, ups)
+    rngs = [trajectory_rng(master_seed, i) for i in indices]
+    return sum(o == "up" for o in born_trials(cfg, params, rngs))
 
 
 def born_ensemble(
@@ -216,7 +212,8 @@ def born_ensemble(
     threads: int = 1,
 ) -> Report:
     [[n_up]] = map_trajectories(
-        _born_worker, [((cfg, params), None)], n_trajectories, master_seed, threads
+        _born_worker, [((cfg, params), None)], n_trajectories, master_seed, threads,
+        width=_pass_width(2 * cfg.grid_n),  # rows (up, down)
     )
     n = n_trajectories
     freq = n_up / n
@@ -304,8 +301,8 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
 
 
 def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
-    """The trajectories of one pass; returns a_L * conj(a_R) at the sample
-    times, one row per trajectory.
+    """The trajectories indices, run as one pass; returns a_L * conj(a_R)
+    at the sample times, one row per trajectory.
 
     Between hits the spectrum drifts by a phase, so each sample's overlaps
     are read in k space from the anchor's spectrum drifted back to t = 0
@@ -323,7 +320,9 @@ def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
         chi = evolution.origin_spectrum()[:, 0]
         for s in range(lo.min(), hi.max()):
             due = (lo <= s) & (s < hi)
-            overlaps = np.matmul(setup.packets, (setup.phases[s] * chi[due])[:, :, None])
+            # np.multiply, not *, for the reason given in FreeFlight.at
+            spectra = np.multiply(setup.phases[s], chi[due])
+            overlaps = np.matmul(setup.packets, spectra[:, :, None])
             for w, (a_l, a_r) in zip(rnd.rows[due], overlaps[:, :, 0]):
                 out[w, s] = a_l * np.conj(a_r)
     return out
@@ -334,11 +333,8 @@ def _coherence_terms(job, master_seed: int, indices):
     x = |c_last| - |c_0| and of x^2.  Every trajectory has the same c_0, so
     the sums of x and x^2 give the spread of |c_last| for the flat-coherence
     estimate without the cancellation of raw sums."""
-    def terms(part):
-        return [(c, x, x * x) for c in _coherence_samples(job, master_seed, part)
-                for x in [abs(c[-1]) - abs(c[0])]]
-
-    return _decoherence_setup(*job[:3]).start.block_sum(indices, terms)
+    return total([(c, x, x * x) for c in _coherence_samples(job, master_seed, indices)
+                  for x in [abs(c[-1]) - abs(c[0])]])
 
 
 def decoherence_scan(
@@ -356,7 +352,8 @@ def decoherence_scan(
     """
     n = ensemble_size
     ensembles = [((cfg, params, float(d), j), j) for j, d in enumerate(separations)]
-    scans = map_trajectories(_coherence_terms, ensembles, n, master_seed, threads)
+    scans = map_trajectories(_coherence_terms, ensembles, n, master_seed, threads,
+                             width=_pass_width(cfg.grid_n))
     reports = []
     for d, [(sum_c, sum_x, sum_x2)] in zip(separations, scans):
         t = np.array(_decoherence_grid(cfg, params, d)[1])
@@ -457,28 +454,37 @@ def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
     return _Start.of(grid, psi0.amps[None])
 
 
+@lru_cache(maxsize=1)
+def _unhit_screen(cfg: VisibilityConfig, d: float, t_flight: float) -> np.ndarray:
+    """The far-field screen of every trajectory without a hit, which is
+    also the no-collapse control: the arms drifted to t_flight."""
+    start = _two_arms(cfg, d)
+    arms = FreeFlight(start.grid, cfg.mass, start.rows[None], start.spectrum[None])
+    return _frozen(momentum_screen(arms.at(t_flight)[:, 0], start.grid)[0])
+
+
 def _screen_worker(job, master_seed: int, indices) -> np.ndarray:
     """The block's summed far-field screens, each read from one drift of
-    its trajectory's last anchor to t_flight."""
+    its trajectory's last anchor to t_flight; a trajectory without a hit
+    adds _unhit_screen."""
     cfg, params, d, t_flight = job
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
     # dt only feeds flight's step guard: the arms fly exactly t_flight
     dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
-
-    def screens(part):
-        rngs = [trajectory_rng(master_seed, i) for i in part]
-        evolution = start.flight(dt, cfg.mass, len(rngs))
-        out = [None] * len(rngs)
-        for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
-            done = rnd.t_next > t_flight
-            if done.any():
-                amps = evolution.at(t_flight, done)[:, 0]
-                for w, screen in zip(rnd.rows[done], momentum_screen(amps, start.grid)):
-                    out[w] = screen
-        return out
-
-    return start.block_sum(indices, screens)
+    rngs = [trajectory_rng(master_seed, i) for i in indices]
+    evolution = start.flight(dt, cfg.mass, len(rngs))
+    out = [None] * len(rngs)
+    for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
+        done = rnd.t_next > t_flight
+        if rnd.centers is None:  # rows that leave unhit
+            for w in rnd.rows[done]:
+                out[w] = _unhit_screen(cfg, d, t_flight)
+        elif done.any():
+            amps = evolution.at(t_flight, done)[:, 0]
+            for w, screen in zip(rnd.rows[done], momentum_screen(amps, start.grid)):
+                out[w] = screen
+    return total(out)
 
 
 def fringe_contrast(
@@ -540,16 +546,14 @@ def visibility_experiment(
             "points per fringe (need >= 8)"
         )
 
-    # no-collapse control is deterministic: a single trajectory suffices
-    control_params = CollapseParams(0.0, params.r_c, params.n_nucleons)
-    job0 = (cfg, control_params, d, t_flight)
-    ideal = _screen_worker(job0, master_seed, range(1))
+    ideal = _unhit_screen(cfg, d, t_flight)  # the no-collapse control
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
     # the batch-means batches are the ensemble's groups: one summed screen each
     job = (cfg, params, d, t_flight)
     [sums] = map_trajectories(_screen_worker, [(job, None)], ensemble_size,
-                              master_seed, threads, groups=cfg.n_batches)
+                              master_seed, threads, groups=cfg.n_batches,
+                              width=_pass_width(pad * cfg.grid_n))
     mean_intensity = total(sums) / ensemble_size
     v_measured = fringe_contrast(mean_intensity, p_axis, fringe_spacing, cfg.n_fringes)
 
@@ -622,19 +626,16 @@ def _heating_worker(job, master_seed: int, indices):
     times = np.array(_heating_times(cfg, t_total))
     rate = params.total_rate_internal(cfg.mass)
 
-    def curves(part):
-        rngs = [trajectory_rng(master_seed, i) for i in part]
-        evolution = start.flight(cfg.dt_internal, cfg.mass, len(rngs))
-        p2 = np.empty((len(rngs), len(times)))
-        hits = [0] * len(rngs)
-        for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):
-            anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid)[1]
-            for w, value, a, b in zip(rnd.rows, anchor_p2, *rnd.samples(times)):
-                p2[w, a:b] = value
-                hits[w] = r
-        return [(p / (2.0 * cfg.mass), p, h) for p, h in zip(p2, hits)]
-
-    return start.block_sum(indices, curves)
+    rngs = [trajectory_rng(master_seed, i) for i in indices]
+    evolution = start.flight(cfg.dt_internal, cfg.mass, len(rngs))
+    p2 = np.empty((len(rngs), len(times)))
+    hits = [0] * len(rngs)
+    for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):
+        anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid)[1]
+        for w, value, a, b in zip(rnd.rows, anchor_p2, *rnd.samples(times)):
+            p2[w, a:b] = value
+            hits[w] = r
+    return total([(p / (2.0 * cfg.mass), p, h) for p, h in zip(p2, hits)])
 
 
 def heating_experiment(
@@ -654,7 +655,8 @@ def heating_experiment(
         )
     job = (cfg, params, t_total)
     [[(sum_e, sum_p2, hits)]] = map_trajectories(
-        _heating_worker, [(job, None)], ensemble_size, master_seed, threads
+        _heating_worker, [(job, None)], ensemble_size, master_seed, threads,
+        width=_pass_width(cfg.grid_n),
     )
     t = np.array(_heating_times(cfg, t_total))
     energy = sum_e / ensemble_size

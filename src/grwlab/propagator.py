@@ -136,8 +136,11 @@ class FreeFlight:
     def at(self, t, rows=slice(None)) -> np.ndarray:
         """The selected rows at time t; a row read at its anchor time is its anchor."""
         tau = t - self.t[rows]
-        out = drift_phase(self.grid, tau, self.mass)[:, None, :] * self.spectrum()[rows]
-        out = np.fft.ifft(out)
+        phase = drift_phase(self.grid, tau, self.mass)
+        # np.multiply, not *: a * whose temporary operand NumPy reuses for the
+        # product (>= 256 kB) swaps the operands, and a row's bits would then
+        # depend on how many rows are read together
+        out = np.fft.ifft(np.multiply(phase[:, None, :], self.spectrum()[rows]))
         same = tau == 0
         if same.any():
             out[same] = self.amps[rows][same]

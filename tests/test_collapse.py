@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from grwlab.collapse import (
     CollapseParams,
     Round,
+    _min_image,
     apply_hit,
     effective_reduction_rate,
     grw_process,
@@ -246,6 +247,46 @@ def test_hits_across_periodic_seam_stay_on_grid():
         a = sample_hit_center(p, grid, rng)
         assert grid.x_min <= a < grid.x_max
         apply_hit(psi.amps, grid, a, 1.0)
+
+
+def _draw_reference(p, grid, rng):
+    """One inverse-CDF draw by searchsorted, as a loop over rows makes it."""
+    masses = p * grid.dx
+    cdf = np.cumsum(masses)
+    u = rng.random() * cdf[-1]
+    j = min(int(np.searchsorted(cdf, u, side="right")), grid.n_points - 1)
+    below = cdf[j - 1] if j > 0 else 0.0
+    frac = (u - below) / masses[j] if masses[j] > 0 else 0.5
+    return float(grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent)
+
+
+def test_a_round_of_draws_has_the_bits_of_draws_row_by_row():
+    # rows with empty cells, a third of them with their mass on the seam
+    rs = np.random.default_rng(4)
+    p = rs.random((33, GRID.n_points)) ** 8
+    p[:, rs.random(GRID.n_points) < 0.5] = 0.0
+    p[::3, 1:-1] = 0.0
+    p[::3, [0, -1]] = [1.0, 2.0]
+    p /= p.sum(axis=1, keepdims=True) * GRID.dx
+    rngs = [trajectory_rng(6, w) for w in range(33)]
+    alone = [trajectory_rng(6, w) for w in range(33)]
+    centers = sample_hit_center(p, GRID, rngs)
+    expected = [_draw_reference(row, GRID, rng) for row, rng in zip(p, alone)]
+    assert centers.tobytes() == np.array(expected).tobytes()
+    # each row drew one uniform from its own generator
+    assert [g.random() for g in rngs] == [g.random() for g in alone]
+    one = sample_hit_center(p[1], GRID, trajectory_rng(6, 1))
+    assert type(one) is float and one == expected[1]
+
+
+def test_min_image_has_the_bits_of_remainder():
+    # offsets up to 1.5 boxes: a grid point less a center half a box outside
+    e = GRID.extent
+    u = np.random.default_rng(5).uniform(-1.5 * e, 1.5 * e, 100_000)
+    edges = [-1.5 * e, -e, -0.5 * e, -0.5 * e - 1e-15, 0.0, 0.5 * e, e,
+             np.nextafter(1.5 * e, 0.0)]
+    u = np.concatenate([u, edges])
+    assert _min_image(u, e).tobytes() == ((u + 0.5 * e) % e - 0.5 * e).tobytes()
 
 
 def _process_items(rows, t_end, times, rng):

@@ -12,7 +12,7 @@ import pytest
 from grwlab import ensemble, experiments
 from grwlab.cli import run
 from grwlab.collapse import CollapseParams
-from grwlab.ensemble import BLOCKS, block_ranges, group_blocks, map_trajectories, total
+from grwlab.ensemble import block_ranges, group_blocks, map_trajectories, total
 from grwlab.errors import (
     BoundsParseError,
     DecisionTimeoutError,
@@ -56,15 +56,19 @@ def _spelled(job, indices):
     return _label(job, 9, indices)
 
 
+def _bounds(job, master_seed, indices):
+    # lists add by concatenation, so a group sum lists its blocks in order
+    return [(indices.start, indices.stop)]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_results_come_in_index_order(threads):
     # strings concatenate, so a group sum spells out every index once, in
     # index order, whatever the blocks and the chunks a pool hands out
-    assert map_trajectories(_label, [("job", None)], 5, 9, threads, groups=2) == [
-        ["job9:0;job9:1;job9:2;", "job9:3;job9:4;"]
-    ]
-    n = 3 * BLOCKS + 5  # blocks of 3 and 4 indices
-    assert map_trajectories(_label, [("a", 0), ("b", 1)], n, 9, threads) == [
+    assert map_trajectories(_label, [("job", None)], 5, 9, threads, groups=2,
+                            width=2) == [["job9:0;job9:1;job9:2;", "job9:3;job9:4;"]]
+    n = 101  # 26 blocks of 3 and 4 indices
+    assert map_trajectories(_label, [("a", 0), ("b", 1)], n, 9, threads, width=4) == [
         [_spelled("a", range(n))], [_spelled("b", range(n))]
     ]
 
@@ -74,18 +78,32 @@ def test_block_ranges_depend_on_n_only():
     assert block_ranges(2, 10) == [range(0, 1), range(1, 2)]
     assert block_ranges(5, 2, start=10) == [range(10, 13), range(13, 15)]
     assert [len(r) for r in block_ranges(96, 10)] == [10] * 6 + [9] * 4
-    # visibility's 10 batches of 96 each fall into 4 blocks of 2 or 3
-    layout = group_blocks(96, 10)
+    # a group falls into the fewest near-equal blocks no wider than width:
+    # the benchmark's heating, born and decohere ensembles take full passes
+    for n, width, blocks in [(384, 32, 12), (3000, 8, 375), (320, 16, 20)]:
+        assert group_blocks(n, 1, width) == [block_ranges(n, blocks)]
+        assert {len(r) for r in group_blocks(n, 1, width)[0]} == {width}
+    assert [len(r) for r in group_blocks(100, 1, 32)[0]] == [25] * 4
+    assert [len(r) for r in group_blocks(5, 1, 32)[0]] == [5]
+    # visibility's 10 batches of 96, at 2 screens a block: 5 blocks each
+    layout = group_blocks(96, 10, 2)
     assert [range(b[0].start, b[-1].stop) for b in layout] == block_ranges(96, 10)
-    assert [len(r) for b in layout for r in b] == [3, 3, 2, 2] * 6 + [3, 2, 2, 2] * 4
-    assert len(group_blocks(10**6, 1)[0]) == BLOCKS
+    assert [len(r) for b in layout for r in b] == [2] * 30 + [2, 2, 2, 2, 1] * 4
+
+
+def test_block_layout_is_the_same_for_any_thread_count():
+    layouts = [map_trajectories(_bounds, [(None, None)], 96, 0, t, groups=10, width=2)[0]
+               for t in (1, 2, 3)]
+    expected = [[(r.start, r.stop) for r in blocks] for blocks in group_blocks(96, 10, 2)]
+    assert layouts == [expected] * 3
 
 
 def test_block_sums_are_bit_identical_for_any_thread_count():
-    n, groups = 83, 4  # n is not a multiple of the group or block count
-    sums = {t: map_trajectories(_rounding, [(1.5, None)], n, 0, t, groups=groups)[0]
+    n, groups, width = 83, 4, 6  # n is not a multiple of the group or block count
+    sums = {t: map_trajectories(_rounding, [(1.5, None)], n, 0, t, groups=groups,
+                                width=width)[0]
             for t in (1, 2, 3)}
-    for blocks, group_sum in zip(group_blocks(n, groups), sums[1]):
+    for blocks, group_sum in zip(group_blocks(n, groups, width), sums[1]):
         partials = []
         for r in blocks:
             partial = _rounding(1.5, 0, r[:1])
@@ -159,7 +177,7 @@ def test_visibility_memory_does_not_grow_with_n():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_error_inside_a_block_names_its_trajectory(threads):
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, [(None, 3)], 6, 11, threads, groups=2)
+        map_trajectories(_fails_at_two, [(None, 3)], 6, 11, threads, groups=2, width=3)
     message = str(info.value)
     assert message.startswith("trajectory 2 of seed 11, stream 3: hit on nothing")
 
@@ -183,7 +201,7 @@ def _raises_snapshot_error(job, master_seed, indices):
 
 def test_pool_returns_an_error_with_extra_fields_as_itself():
     with pytest.raises(SnapshotFormatError) as info:
-        map_trajectories(_raises_snapshot_error, [(None, None)], 2, 4, threads=2)
+        map_trajectories(_raises_snapshot_error, [(None, None)], 2, 4, threads=2, width=1)
     assert info.value.offset == 3
     assert str(info.value) == "trajectory 0 of seed 4: bad magic (at byte offset 3)"
 
@@ -191,7 +209,7 @@ def test_pool_returns_an_error_with_extra_fields_as_itself():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_worker_error_names_trajectory_seed_and_stream(threads):
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, [(None, 3)], 4, 11, threads)
+        map_trajectories(_fails_at_two, [(None, 3)], 4, 11, threads, width=2)
     message = str(info.value)
     assert "trajectory 2" in message and "seed 11" in message
     assert "stream 3" in message and "hit on nothing" in message
@@ -224,4 +242,4 @@ def test_cli_reports_the_failing_trial(tmp_path, capsys):
 
 def test_dead_worker_is_a_grw_error():
     with pytest.raises(GrwError, match="worker process"):
-        map_trajectories(_dies, [(None, None)], 2, 0, threads=2)
+        map_trajectories(_dies, [(None, None)], 2, 0, threads=2, width=1)

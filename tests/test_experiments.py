@@ -155,6 +155,17 @@ def test_visibility_fringe_count_is_a_whole_positive_number(n_fringes):
         VisibilityConfig(n_fringes=n_fringes)
 
 
+def test_unhit_screen_is_the_screen_a_pass_reads_for_an_unhit_row():
+    # the cached screen stands for every row that leaves a pass unhit
+    cfg, d, t_flight = VisibilityConfig(), 64.0, 1.0
+    start = experiments._two_arms(cfg, d)
+    evolution = start.flight(1e-9, cfg.mass, 5)
+    amps = evolution.at(t_flight, np.array([True, False, True, True, False]))
+    unhit = experiments._unhit_screen(cfg, d, t_flight)
+    for screen in momentum_screen(amps[:, 0], start.grid):
+        assert screen.tobytes() == unhit.tobytes()
+
+
 def test_visibility_zero_rate_control():
     cfg = VisibilityConfig()
     res = visibility_experiment(64.0, CollapseParams(0.0, 4.0), 1.0, 8, cfg, 5,

@@ -1,6 +1,6 @@
-"""The lockstep driver: a block's trajectories advance together, yet every
-block sum has the bits of its trajectories run one at a time, and a failure
-names a trajectory whose lone run fails the same way."""
+"""The lockstep driver: a block's trajectories advance together in one pass,
+yet every block sum has the bits of its trajectories run one at a time, and
+a failure names a trajectory whose lone run fails the same way."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from grwlab.experiments import (
     born_ensemble,
     born_trials,
     decoherence_scan,
+    heating_experiment,
+    visibility_experiment,
 )
 from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
@@ -29,16 +31,19 @@ def _params(lambda_internal, r_c, **kw):
 # pointers 8 r_c apart: a hit between them leaves both branches weight, so
 # a trial decides after one to a few hits
 _BORN = MeasurementConfig(c_up=np.sqrt(0.3), c_down=np.sqrt(0.7), pointer_separation=8.0)
+_BORN_PARAMS = _params(1.0, 1.0, n_nucleons=_BORN.pointer_n_nucleons)
 _VISIBILITY = VisibilityConfig(grid_n=512)
 # (worker, job): one ensemble of each experiment at small size
 WORKERS = {
-    "born": (experiments._born_worker,
-             (_BORN, _params(1.0, 1.0, n_nucleons=_BORN.pointer_n_nucleons))),
+    "born": (experiments._born_worker, (_BORN, _BORN_PARAMS)),
     "decohere": (experiments._coherence_terms,
-                 (DecoherenceConfig(grid_n=512, n_samples=6), _params(2.0, 1.0), 2.0, 1)),
+                 (DecoherenceConfig(n_samples=6), _params(2.0, 1.0), 2.0, 1)),
     "visibility": (experiments._screen_worker, (_VISIBILITY, _params(1.0, 4.0), 64.0, 1.0)),
     "heating": (experiments._heating_worker, (HeatingConfig(), _params(4.0, 1.0), 1.5)),
 }
+# the points of each one's widest array per trajectory, which set its width:
+# born's (up, down) rows, decohere's and heating's one row, visibility's screen
+POINTS = {"born": 2 * 1024, "decohere": 1024, "visibility": 8 * 512, "heating": 512}
 
 
 def _bytes(result):
@@ -51,20 +56,41 @@ def _bytes(result):
 @pytest.mark.parametrize("points", [None, 1024])
 @pytest.mark.parametrize("name", list(WORKERS))
 def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
-    # a budget of 1024 points cuts every pass to one or two rows, so a block
-    # of 20 takes 10 to 20 passes; at the default budget born's takes 3
+    # a block is one pass, as wide as the pass budget allows: by default 8
+    # born trials, 16 decohere rows, 4 visibility screens and 32 heating
+    # rows; a budget of 1024 points leaves 2 heating rows and one of the others
     if points:
         monkeypatch.setattr(experiments, "PASS_POINTS", points)
+    width = experiments._pass_width(POINTS[name])
+    if not points:
+        assert width == {"born": 8, "decohere": 16, "visibility": 4, "heating": 32}[name]
     worker, job = WORKERS[name]
-    block = range(5, 25)
+    block = range(5, 5 + width)
     lone = [worker(job, 3, [i]) for i in block]
     assert _bytes(worker(job, 3, block)) == _bytes(total(lone))
 
 
+def test_every_ensemble_takes_blocks_of_one_full_pass(monkeypatch):
+    real, widths = experiments.map_trajectories, []
+
+    def recorded(*args, width, **kwargs):
+        widths.append(width)
+        return real(*args, width=width, **kwargs)
+
+    monkeypatch.setattr(experiments, "map_trajectories", recorded)
+    born_ensemble(_BORN, _BORN_PARAMS, 2, 3)
+    decoherence_scan([2.0], _params(2.0, 1.0), 2, DecoherenceConfig(n_samples=6), 3)
+    visibility_experiment(64.0, _params(1.0, 4.0), 1.0, 2, VisibilityConfig(), 3)
+    heating_experiment(_params(4.0, 1.0), 1.5, 2, HeatingConfig(), 3)
+    # the benchmark's grids: born and decohere N = 1024, visibility's 8x
+    # padded screen of N = 1024, heating N = 512
+    assert widths == [8, 16, 2, 32]
+
+
 def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
-    # the running rows of each round of each pass: visibility's block above
-    # has rows that leave unhit while others take a hit, and born's has rows
-    # that decide while others need more hits
+    # the running rows of each round of a block's one pass: visibility's
+    # block of 20 has rows that leave unhit while others take a hit, and
+    # born's has rows that decide while others need more hits
     real, sizes = experiments.grw_process, []
 
     def watched(*args):
@@ -78,14 +104,14 @@ def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
         worker, job = WORKERS[name]
         sizes.clear()
         worker(job, 3, range(5, 25))
-        assert len(sizes) == (1 if name == "visibility" else 3)
+        assert len(sizes) == 1
         assert any(a > b > 0 for s in sizes for a, b in zip(s, s[1:])), (name, sizes)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     # a budget of 0.4 expected hits: trials whose first hit comes later time
-    # out; at n = 96 the blocks hold 3 trials, so a pass of mixed trials
+    # out; at n = 96 the blocks hold 8 trials, so a pass of mixed trials
     # raises for one of them
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
                             hits_budget=0.4, hit_resolution=1.0)
@@ -94,7 +120,7 @@ def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     late = [exponential_variate(trajectory_rng(1, i), rate) > 0.4 / rate
             for i in range(96)]
     i = late.index(True)
-    assert not all(late[3 * (i // 3):3 * (i // 3) + 3])
+    assert not all(late[8 * (i // 8):8 * (i // 8) + 8])
     with pytest.raises(DecisionTimeoutError) as info:
         born_ensemble(cfg, params, 96, master_seed=1, threads=threads)
     with pytest.raises(DecisionTimeoutError) as alone:

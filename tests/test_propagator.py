@@ -142,6 +142,23 @@ def test_free_flight_matches_free_steps_across_hits():
     np.testing.assert_allclose(flight.at(400 * dt)[0, 0], stepped, rtol=0, atol=1e-10)
 
 
+def test_free_flight_rows_read_together_match_rows_read_alone_bitwise():
+    # 17 of 18 rows of 1024 points: the selected spectra form a 278 kB
+    # temporary, large enough for NumPy to reuse it as the output of a *
+    # product, which swaps the operands and changes the rows' last bits
+    grid = Grid1D.centered(1024, 64.0)
+    rows = np.stack([gaussian_packet(grid, -8.0 + i, 0.3 * i, 1.0, 1.0).amps
+                     for i in range(18)])[:, None]
+    t = np.linspace(0.0, 0.1, 18)
+    together = FreeFlight(grid, 1.0, rows)
+    together.anchor(rows, t)
+    read = together.at(0.7, np.arange(18) > 0)
+    for w in range(1, 18):
+        alone = FreeFlight(grid, 1.0, rows[w:w + 1])
+        alone.anchor(rows[w:w + 1], t[w:w + 1])
+        assert read[w - 1].tobytes() == alone.at(0.7).tobytes()
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_stepper_rows_match_single_steps_bitwise(n):
     # the driver steps all rows in one call; each row must come out
