@@ -22,7 +22,7 @@ from .collapse import (
 )
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError
-from .propagator import FreeFlight, Potential, drift_phase, flight
+from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .rngstream import trajectory_rng
@@ -88,12 +88,11 @@ class _Start:
     def of(cls, grid: Grid1D, rows: np.ndarray) -> "_Start":
         return cls(grid, _frozen(rows), _frozen(np.fft.fft(rows)))
 
-    def flight(self, dt: float, mass: float, width: int):
+    def flight(self, mass: float, width: int) -> FreeFlight:
         """Free evolution of width trajectories from these rows and their FFT."""
         shape = (width, *self.rows.shape)
-        return flight(self.grid, Potential.free(), dt, mass,
-                      np.broadcast_to(self.rows, shape),
-                      _spectrum=np.broadcast_to(self.spectrum, shape))
+        return FreeFlight(self.grid, mass, np.broadcast_to(self.rows, shape),
+                          np.broadcast_to(self.spectrum, shape))
 
 
 def _packet_pair(grid: Grid1D, d: float, sigma: float, mass: float):
@@ -126,7 +125,6 @@ class MeasurementConfig:
     grid_n: int = 1024
     grid_extent: float = 48.0
     hits_budget: float = 20.0  # Lambda * t_max
-    hit_resolution: float = 0.1  # Lambda * dt
 
     def __post_init__(self):
         w = abs(self.c_up) ** 2 + abs(self.c_down) ** 2
@@ -134,7 +132,7 @@ class MeasurementConfig:
             raise ConfigError(f"|c_up|^2 + |c_down|^2 = {w}, must be 1")
         if not (0 < self.decision_epsilon < 1):
             raise ConfigError("decision_epsilon must be in (0, 1)")
-        _require_positive(self, "hits_budget", "hit_resolution")
+        _require_positive(self, "hits_budget")
         if self.pointer_separation <= 4.0 * self.pointer_sigma:
             raise ConfigError(
                 "pointer_separation must exceed 4 * pointer_sigma "
@@ -176,7 +174,7 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
     rate = params.total_rate_internal()
     if rate <= 0:
         raise ConfigError("born_trials needs a positive total collapse rate")
-    evolution = start.flight(cfg.hit_resolution / rate, cfg.pointer_n_nucleons, len(rngs))
+    evolution = start.flight(cfg.pointer_n_nucleons, len(rngs))
     t_end = cfg.hits_budget / rate
     eps = cfg.decision_epsilon
     up = np.zeros(len(rngs), dtype=int)
@@ -258,15 +256,15 @@ class DecoherenceConfig:
         _require_positive(self, "hit_resolution", "n_efoldings", "n_samples")
 
 
-def _decoherence_grid(cfg: DecoherenceConfig, params, d):
-    """(dt, sample times) of a run over n_efoldings of Gamma(d): steps of dt,
-    sampled every (steps // n_samples)-th step and at the last."""
+def _decoherence_grid(cfg: DecoherenceConfig, params, d) -> list[float]:
+    """The sample times of a run over n_efoldings of Gamma(d): steps of
+    hit_resolution / rate, every (steps // n_samples)-th and the last."""
     rate = params.total_rate_internal()
     gamma = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
     t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
     dt = cfg.hit_resolution / rate
     n_steps = max(1, int(round(t_total / dt)))
-    return dt, sample_times(dt, n_steps, max(1, n_steps // cfg.n_samples))
+    return sample_times(dt, n_steps, max(1, n_steps // cfg.n_samples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +279,6 @@ class _DecoherenceSetup:
     """
 
     start: _Start
-    dt: float
     times: np.ndarray  # (S,)
     phases: np.ndarray  # (S, N)
     packets: np.ndarray  # (2, N)
@@ -292,11 +289,11 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     phi_l, phi_r = _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
-    dt, times = _decoherence_grid(cfg, params, d)
+    times = _decoherence_grid(cfg, params, d)
     phases = np.stack([drift_phase(grid, t, cfg.mass) for t in times])
     spectra = np.fft.fft(np.stack([phi_l.amps, phi_r.amps]))
     packets = np.conj(spectra) * (grid.dx / grid.n_points)
-    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), dt, _frozen(np.array(times)),
+    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), _frozen(np.array(times)),
                              _frozen(phases), _frozen(packets))
 
 
@@ -313,7 +310,7 @@ def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
     times = setup.times
     rngs = [trajectory_rng(master_seed, i, stream) for i in indices]
     rate = params.total_rate_internal()
-    evolution = setup.start.flight(setup.dt, cfg.mass, len(rngs))
+    evolution = setup.start.flight(cfg.mass, len(rngs))
     out = np.empty((len(rngs), len(times)), dtype=np.complex128)
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
         lo, hi = rnd.samples(times)
@@ -356,7 +353,7 @@ def decoherence_scan(
                              width=_pass_width(cfg.grid_n))
     reports = []
     for d, [(sum_c, sum_x, sum_x2)] in zip(separations, scans):
-        t = np.array(_decoherence_grid(cfg, params, d)[1])
+        t = np.array(_decoherence_grid(cfg, params, d))
         mean_c = np.abs(sum_c / n)
         gamma_analytic = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
         if gamma_analytic > 0:
@@ -421,12 +418,11 @@ class VisibilityConfig:
     mass: float = 1e6
     grid_n: int = 1024
     grid_extent: float = 128.0
-    hit_resolution: float = 1e-3  # Lambda * dt
     n_batches: int = 10
     n_fringes: int = 5
 
     def __post_init__(self):
-        _require_positive(self, "hit_resolution", "n_batches")
+        _require_positive(self, "n_batches")
         if not (isinstance(self.n_fringes, int) and self.n_fringes >= 1):
             raise ConfigError(f"n_fringes must be an integer >= 1, got {self.n_fringes}")
 
@@ -459,8 +455,8 @@ def _unhit_screen(cfg: VisibilityConfig, d: float, t_flight: float) -> np.ndarra
     """The far-field screen of every trajectory without a hit, which is
     also the no-collapse control: the arms drifted to t_flight."""
     start = _two_arms(cfg, d)
-    arms = FreeFlight(start.grid, cfg.mass, start.rows[None], start.spectrum[None])
-    return _frozen(momentum_screen(arms.at(t_flight)[:, 0], start.grid)[0])
+    arms = start.flight(cfg.mass, 1).at(t_flight)
+    return _frozen(momentum_screen(arms[:, 0], start.grid)[0])
 
 
 def _screen_worker(job, master_seed: int, indices) -> np.ndarray:
@@ -470,10 +466,8 @@ def _screen_worker(job, master_seed: int, indices) -> np.ndarray:
     cfg, params, d, t_flight = job
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
-    # dt only feeds flight's step guard: the arms fly exactly t_flight
-    dt = cfg.hit_resolution / rate if rate > 0 else t_flight / 1000.0
     rngs = [trajectory_rng(master_seed, i) for i in indices]
-    evolution = start.flight(dt, cfg.mass, len(rngs))
+    evolution = start.flight(cfg.mass, len(rngs))
     out = [None] * len(rngs)
     for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
         done = rnd.t_next > t_flight
@@ -627,7 +621,7 @@ def _heating_worker(job, master_seed: int, indices):
     rate = params.total_rate_internal(cfg.mass)
 
     rngs = [trajectory_rng(master_seed, i) for i in indices]
-    evolution = start.flight(cfg.dt_internal, cfg.mass, len(rngs))
+    evolution = start.flight(cfg.mass, len(rngs))
     p2 = np.empty((len(rngs), len(times)))
     hits = [0] * len(rngs)
     for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):

@@ -44,23 +44,6 @@ class Potential:
         return 0.5 * mass * self.omega**2 * grid.x**2
 
 
-def _check_guards(grid: Grid1D, v: np.ndarray, dt: float, mass: float) -> None:
-    if not (np.isfinite(dt) and dt != 0.0):
-        raise StepSizeError(f"dt must be finite and nonzero, got {dt}")
-    adt = abs(dt)
-    vmax = float(np.max(np.abs(v)))
-    if adt * vmax >= 0.5:
-        raise StepSizeError(
-            f"potential guard violated: |dt|*max|V| = {adt * vmax:.3g} >= 0.5"
-        )
-    k_max = np.pi / grid.dx
-    phase = adt * k_max**2 / (2.0 * mass)
-    if phase >= np.pi:
-        raise StepSizeError(
-            f"spectral phase guard violated: |dt|*k_max^2/(2m) = {phase:.3g} >= pi"
-        )
-
-
 def drift_phase(grid: Grid1D, tau, mass: float) -> np.ndarray:
     """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau.
 
@@ -74,15 +57,23 @@ def drift_phase(grid: Grid1D, tau, mass: float) -> np.ndarray:
 
 
 class Stepper:
-    """Precomputed Strang-step factors for a fixed (grid, potential, dt, mass).
-
-    Reusing one Stepper across many steps is what makes long trajectories
-    affordable; the per-step work is then two FFTs and three multiplies.
+    """Precomputed Strang-step factors for a fixed (grid, potential, dt, mass),
+    for a dt inside the step guards (|dt| max|V| < 1/2, |dt| k_max^2/2m < pi).
+    Reusing one keeps the work of a step at two FFTs and three multiplies.
     """
 
     def __init__(self, grid: Grid1D, v: Potential, dt: float, mass: float):
         v_arr = v.values(grid, mass)
-        _check_guards(grid, v_arr, dt, mass)
+        if not (np.isfinite(dt) and dt != 0.0):
+            raise StepSizeError(f"dt must be finite and nonzero, got {dt}")
+        kick = abs(dt) * float(np.max(np.abs(v_arr)))
+        if kick >= 0.5:
+            raise StepSizeError(f"potential guard violated: |dt|*max|V| = {kick:.3g} >= 0.5")
+        phase = abs(dt) * (np.pi / grid.dx) ** 2 / (2.0 * mass)
+        if phase >= np.pi:
+            raise StepSizeError(
+                f"spectral phase guard violated: |dt|*k_max^2/(2m) = {phase:.3g} >= pi"
+            )
         self.grid = grid
         self.dt = dt
         self.half_kick = np.exp(-0.5j * dt * v_arr)
@@ -94,14 +85,19 @@ class Stepper:
         return self.half_kick * amps
 
 
+# Drifts and hits live on the real line; the box stands in for it only while
+# a state holds at most this share of its mass in some cyclic 1/32 of the box.
+WRAP_LIMIT = 1e-3
+
+
 class FreeFlight:
     """Exact free evolution of (W, K, N) rows, each row from its own anchor.
 
     Row w, anchored at time t[w] (first at t = 0), reaches any time in one
-    k-space drift, ifft(drift_phase(t - t[w]) * fft(rows[w])).  The anchors'
-    transform is taken when first needed and reused until the next anchor,
-    so reading the rows at several times costs one inverse FFT each.
-    spectrum, when given, is fft(amps) of the first anchor, precomputed.
+    exact k-space drift, ifft(drift_phase(t - t[w]) * fft(rows[w])).  The
+    anchors' fft (spectrum, if given, precomputed) is taken once per anchor,
+    so a read costs one inverse FFT.  A state read in x that wraps the box
+    (WRAP_LIMIT) is a DomainError.
     """
 
     def __init__(
@@ -144,6 +140,20 @@ class FreeFlight:
         same = tau == 0
         if same.any():
             out[same] = self.amps[rows][same]
+        # each state's mass in 32 disjoint windows; if none is empty enough, in all cyclic ones
+        m = max(1, out.shape[-1] // 32)
+        f = out.view(np.float64).reshape(*out.shape[:2], -1, 2 * m)  # re, im interleaved
+        blocks = np.einsum("wkbj,wkbj->wb", f, f)
+        full = blocks.min(axis=-1) > WRAP_LIMIT * blocks.sum(axis=-1)
+        if full.any():
+            rho = np.sum(np.abs(out[full]) ** 2, axis=1)
+            c = np.cumsum(np.concatenate((rho, rho[:, :m]), axis=-1), axis=-1)
+            emptiest = np.min(c[:, m:] - c[:, :-m], axis=-1) / c[:, -m - 1]
+            if (emptiest > WRAP_LIMIT).any():
+                raise DomainError(
+                    f"the state wraps the periodic box: its emptiest 1/32 of the box "
+                    f"holds {emptiest.max():.6g} of its mass (limit {WRAP_LIMIT:g})"
+                )
         return out
 
 
@@ -183,18 +193,14 @@ class SteppedFlight:
 
 def flight(
     grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray,
-    *, _spectrum: np.ndarray | None = None,
 ) -> FreeFlight | SteppedFlight:
     """The evolution of (W, K, N) rows amps from t = 0 under v.
 
-    Free evolution is exact (FreeFlight); any other potential takes Strang
-    steps of dt (SteppedFlight).  Both check dt against the step guards.
-    _spectrum is np.fft.fft(amps) where an ensemble has it built once for
-    all its trajectories; a free flight then starts from it.
+    Free evolution is exact and reads no dt (FreeFlight); any other potential
+    takes Strang steps of dt (SteppedFlight), checked by the Stepper's guards.
     """
     if v.kind is PotentialKind.FREE:
-        _check_guards(grid, v.values(grid, mass), dt, mass)
-        return FreeFlight(grid, mass, amps, _spectrum)
+        return FreeFlight(grid, mass, amps)
     return SteppedFlight(Stepper(grid, v, dt, mass), amps)
 
 

@@ -110,12 +110,38 @@ def test_mixed_units_rejected(tmp_path):
 
 
 def test_bad_physics_config_is_exit_two(tmp_path):
-    # grid too fine for this dt: the spectral step guard trips at runtime
+    # the sigma0 = 2 packet overflows the 16-wide box at runtime
+    # (x0 - 6 sigma = -12 < x_min = -8)
     code = run([
         "evolve", "--out", str(tmp_path / "x"), "--grid-n", "2048",
         "--grid-extent", "16", "--dt-internal", "0.05",
     ])
     assert code == 2
+
+
+WRAPS = "the state wraps the periodic box"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # the sigma0 = 2 packet spreads to sigma = t / 4 = 100 by t = 400 and
+    # fills its 64-wide box
+    (["evolve", "--t-total-internal", "400"], WRAPS),
+    # at the default lambda the pointer's first hit is ~6e14 time units
+    # away, where its packet has spread to sigma ~ 3e6 in a 48-wide box
+    (["born", "--n-traj", "2"], f"trajectory 0 of seed 0: {WRAPS}"),
+], ids=["evolve", "born"])
+def test_a_free_run_that_wraps_its_box_is_exit_two(tmp_path, capsys, argv, error):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["visibility", "--n-traj", "4"],
+    # arms at the edges of the 128-wide box: d + 12 sigma0 = extent
+    ["visibility", "--n-traj", "4", "--d-internal", "116"],
+], ids=["default", "edge"])
+def test_visibility_at_the_default_lambda_runs(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_exclusion_summary_span(tmp_path):
@@ -259,9 +285,7 @@ def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
     ["decohere", "--n-samples", "0"],
     ["decohere", "--n-efoldings", "0"],
     ["decohere", "--hit-resolution", "0"],
-    ["born", "--hit-resolution", "0"],
     ["born", "--hits-budget", "0"],
-    ["visibility", "--hit-resolution", "-1"],
     ["visibility", "--n-batches", "0", "--lambda-internal", "1", "--rc-internal", "4"],
     ["heating", "--dt-internal", "0", "--lambda-internal", "4"],
     ["heating", "--sample-every", "0", "--lambda-internal", "4"],
@@ -362,7 +386,6 @@ CLI_SURFACE = {
         "c_up2", "n_traj", "lambda_si", "lambda_internal", "rc_internal",
         "rc_m", "pointer_n_nucleons", "pointer_separation", "pointer_sigma",
         "decision_epsilon", "grid_n", "grid_extent", "hits_budget",
-        "hit_resolution",
     ],
     "decohere": [
         "separations_over_rc", "lambda_si", "lambda_internal", "rc_internal",
@@ -372,8 +395,7 @@ CLI_SURFACE = {
     "visibility": [
         "d_internal", "lambda_si", "lambda_internal", "rc_internal", "rc_m",
         "n_nucleons", "t_flight_internal", "t_flight_s", "n_traj", "sigma0",
-        "mass", "grid_n", "grid_extent", "hit_resolution", "n_batches",
-        "n_fringes",
+        "mass", "grid_n", "grid_extent", "n_batches", "n_fringes",
     ],
     "heating": [
         "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",

@@ -21,7 +21,7 @@ from grwlab.experiments import (
     screen_axis,
     visibility_experiment,
 )
-from grwlab.propagator import Potential, flight
+from grwlab.propagator import FreeFlight, Potential
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
 from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
@@ -57,11 +57,11 @@ def test_born_small_ensemble_tracks_weights():
 
 
 def test_born_budget_is_hits_budget_over_rate():
-    # a budget of 0.4 expected hits is less than one hit_resolution: the
-    # trial still runs for 0.4 / rate, and one hit decides it, so it decides
-    # exactly when its first waiting time falls within the budget
+    # a budget of 0.4 expected hits: the trial runs for exactly 0.4 / rate,
+    # and one hit decides it, so it decides exactly when its first waiting
+    # time falls within the budget
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
-                            hits_budget=0.4, hit_resolution=1.0)
+                            hits_budget=0.4)
     params = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
     rate = params.total_rate_internal()
     decided = []
@@ -136,10 +136,9 @@ def test_visibility_separation_preconditions():
 
 @pytest.mark.parametrize("t_flight", [0.9, 1.1])
 def test_visibility_flies_t_flight_exactly(t_flight):
-    # dt = hit_resolution / rate = 2 does not divide t_flight; the arms still
-    # fly t_flight, and a hit on either arm (d = 16 r_c) erases its fringes,
-    # so the contrast ratio is the share of trajectories unhit by t_flight
-    cfg = VisibilityConfig(hit_resolution=2.0)
+    # the arms fly t_flight, and a hit on either arm (d = 16 r_c) erases its
+    # fringes, so the contrast ratio is the share of trajectories unhit by t_flight
+    cfg = VisibilityConfig()
     params = _params(1.0, 4.0)
     res = visibility_experiment(64.0, params, t_flight, 200, cfg, 3, threads=THREADS)
     rate = params.total_rate_internal(cfg.mass)
@@ -159,7 +158,7 @@ def test_unhit_screen_is_the_screen_a_pass_reads_for_an_unhit_row():
     # the cached screen stands for every row that leaves a pass unhit
     cfg, d, t_flight = VisibilityConfig(), 64.0, 1.0
     start = experiments._two_arms(cfg, d)
-    evolution = start.flight(1e-9, cfg.mass, 5)
+    evolution = start.flight(cfg.mass, 5)
     amps = evolution.at(t_flight, np.array([True, False, True, True, False]))
     unhit = experiments._unhit_screen(cfg, d, t_flight)
     for screen in momentum_screen(amps[:, 0], start.grid):
@@ -255,8 +254,8 @@ def _x_space_coherence(job, master_seed, index):
     phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
     phi_r = gaussian_packet(grid, +d / 2.0, 0.0, sigma, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
-    dt, times = experiments._decoherence_grid(cfg, params, d)
-    evolution = flight(grid, Potential.free(), dt, cfg.mass, psi.amps[None, None])
+    times = experiments._decoherence_grid(cfg, params, d)
+    evolution = FreeFlight(grid, cfg.mass, psi.amps[None, None])
     rng = trajectory_rng(master_seed, index, stream)
     out, hits = [], 0
     for rnd in grw_process(

@@ -114,7 +114,7 @@ def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     # out; at n = 96 the blocks hold 8 trials, so a pass of mixed trials
     # raises for one of them
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
-                            hits_budget=0.4, hit_resolution=1.0)
+                            hits_budget=0.4)
     params = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
     rate = params.total_rate_internal()
     late = [exponential_variate(trajectory_rng(1, i), rate) > 0.4 / rate

@@ -69,9 +69,6 @@ def test_norm_drift():
 def test_step_size_guards():
     psi = gaussian_packet(GRID, 0.0, 0.0, sigma=1.0, mass=1.0)
     with pytest.raises(StepSizeError):
-        # dt k_max^2 / 2m exceeds pi on this grid
-        split_step(psi, Potential.free(), dt=0.2, n_steps=1)
-    with pytest.raises(StepSizeError):
         # dt max|V| too large at the box edge
         split_step(psi, Potential.harmonic(10.0), dt=0.05, n_steps=1)
     with pytest.raises(DomainError):
@@ -157,6 +154,27 @@ def test_free_flight_rows_read_together_match_rows_read_alone_bitwise():
         alone = FreeFlight(grid, 1.0, rows[w:w + 1])
         alone.anchor(rows[w:w + 1], t[w:w + 1])
         assert read[w - 1].tobytes() == alone.at(0.7).tobytes()
+
+
+def test_free_flight_fails_a_state_that_wraps_the_box():
+    # the windows are cyclic: a packet across the seam leaves most of the
+    # box empty, and so does one half of a flat state
+    psi = gaussian_packet(GRID, 0.0, 0.0, sigma=2.0, mass=1.0)
+    seam = np.roll(psi.amps, GRID.n_points // 2)
+    FreeFlight(GRID, 1.0, seam[None, None]).at(0.0)
+    halves = np.stack([GRID.x < 0, GRID.x >= 0]).astype(complex)[None]
+    FreeFlight(GRID, 1.0, halves[:, :1]).at(0.0)
+    # a state's branch rows are summed: the two halves fill the box
+    with pytest.raises(DomainError, match="wraps the periodic box"):
+        FreeFlight(GRID, 1.0, halves).at(0.0)
+    # an empty window of N/32 = 16 points astride two of the 32 disjoint
+    # windows is found; one of 15 points leaves 1/497 of the mass in every window
+    gap = np.ones(GRID.n_points, dtype=complex)
+    gap[8:24] = 0.0
+    FreeFlight(GRID, 1.0, gap[None, None]).at(0.0)
+    gap[8] = 1.0
+    with pytest.raises(DomainError, match="wraps the periodic box"):
+        FreeFlight(GRID, 1.0, gap[None, None]).at(0.0)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
