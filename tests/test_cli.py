@@ -285,7 +285,9 @@ def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
     ["decohere", "--n-samples", "0"],
     ["decohere", "--n-efoldings", "0"],
     ["decohere", "--hit-resolution", "0"],
+    ["born", "--decision-epsilon", "0"],
     ["born", "--hits-budget", "0"],
+    ["visibility", "--grid-extent", "-1", "--lambda-internal", "1", "--rc-internal", "4"],
     ["visibility", "--n-batches", "0", "--lambda-internal", "1", "--rc-internal", "4"],
     ["heating", "--dt-internal", "0", "--lambda-internal", "4"],
     ["heating", "--sample-every", "0", "--lambda-internal", "4"],
