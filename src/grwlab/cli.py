@@ -42,6 +42,7 @@ from .experiments import (
     MeasurementConfig,
     VisibilityConfig,
     born_ensemble,
+    check_grid_n,
     decoherence_scan,
     heating_experiment,
     visibility_experiment,
@@ -303,9 +304,10 @@ def _packet_and_potential(v: dict):
 
 def _run_single(v: dict, params: CollapseParams, seed: int, outdir: Path,
                 write_record: bool) -> list[str]:
-    for key in ("t_total", "dt_internal", "sample_every"):
+    for key in ("t_total", "dt_internal", "sample_every", "grid_extent", "sigma0", "mass"):
         if not v[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {v[key]}")
+    check_grid_n(v["grid_n"])
     psi0, pot = _packet_and_potential(v)
     rec = grw_trajectory(
         psi0, pot, params, v["t_total"], v["dt_internal"], v["sample_every"],

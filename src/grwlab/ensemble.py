@@ -1,15 +1,16 @@
 """Ordered, reproducible ensemble execution, reduced in fixed blocks.
 
-Workers are module-level functions fn(cfg, master_seed, indices) -> the sum
-of the results of trajectories indices, added in index order.  Each index
-derives its own Philox stream from (master_seed, index).  The indices
-0..n-1 fall into groups, and each group into the fewest near-equal blocks
-of at most the width the caller gives (one lockstep pass of its
-trajectories).  So the block bounds depend on n, the group count and the
-width, never on the thread count; each block is summed where it runs, and
-the parent adds the block sums in block order, so the outcome is
-independent of thread count and scheduling.  A GrwError raised in a block
-names the first of its trajectories that raises alone.
+An ensemble is a flat list of runs (job, stream, indices); trajectory i of a
+run draws from trajectory_rng(master_seed, i, stream).  Workers are
+module-level functions fn(job, rngs) -> the sum of the results of the
+trajectories drawing from rngs, one generator each, added in order.  Each
+run's indices fall into the fewest near-equal blocks of at most the width
+the caller gives (one lockstep pass of its trajectories).  So the block
+bounds depend on the runs and the width, never on the thread count; each
+block is summed where it runs, and the parent adds a run's block sums in
+block order, so the outcome is independent of thread count and scheduling.
+A GrwError raised in a block names the first of its trajectories that
+raises alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import reduce
 from itertools import accumulate
 
 from .errors import ConfigError, GrwError, WorkerError
+from .rngstream import trajectory_rng
 
 # A block is the unit of arithmetic; how many blocks one pool task carries
 # (chunks) is chosen per run and changes no sum.
@@ -43,18 +45,13 @@ def resolve_threads(threads) -> int:
 
 
 def block_ranges(n: int, blocks: int, start: int = 0) -> list[range]:
-    """min(n, blocks) consecutive ranges covering start..start+n-1; the first
-    n % blocks are one longer (the sections of np.array_split)."""
+    """min(n, blocks) consecutive ranges covering start..start+n-1, n >= 1;
+    the first n % blocks are one longer (the sections of np.array_split)."""
+    if n < 1:
+        raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
     k = min(n, blocks)
     ends = list(accumulate((n // k + (j < n % k) for j in range(k)), initial=start))
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
-
-
-def group_blocks(n: int, groups: int, width: int) -> list[list[range]]:
-    """The blocks of each of the groups block_ranges(n, groups): a group of
-    m indices falls into ceil(m / width) blocks of near-equal length."""
-    return [block_ranges(len(g), -(-len(g) // width), g.start)
-            for g in block_ranges(n, groups)]
 
 
 def _add(a, b):
@@ -70,58 +67,52 @@ def total(parts):
 
 
 def _block_sum(args):
-    """fn over one block of indices.  On a GrwError the block's trajectories
+    """fn over one block of indices, one generator each.  On a GrwError they
     are replayed one at a time, and the error of the first that raises is
     re-raised with its index, seed and stream tag put before its message."""
-    fn, cfg, master_seed, stream, indices = args
+    fn, job, master_seed, stream, indices = args
+    tag = stream or 0  # None is the plain stream, left out of messages
     try:
-        return fn(cfg, master_seed, indices)
+        return fn(job, [trajectory_rng(master_seed, i, tag) for i in indices])
     except GrwError:
         for i in indices:
             try:
-                fn(cfg, master_seed, range(i, i + 1))
+                fn(job, [trajectory_rng(master_seed, i, tag)])
             except GrwError as exc:
-                tag = "" if stream is None else f", stream {stream}"
-                exc.args = (f"trajectory {i} of seed {master_seed}{tag}: {exc}",)
+                label = "" if stream is None else f", stream {stream}"
+                exc.args = (f"trajectory {i} of seed {master_seed}{label}: {exc}",)
                 raise
         raise
 
 
-def map_trajectories(
-    fn, ensembles: list[tuple], n: int, master_seed: int, threads: int = 1,
-    groups: int = 1, *, width: int,
-) -> list[list]:
-    """Group sums of trajectories 0..n-1 for each (job, stream) in
-    ensembles, all run in one process pool; fn(job, master_seed, block)
-    sums one block of at most width trajectories.
+def map_trajectories(fn, runs: list[tuple], master_seed: int, threads: int = 1, *,
+                     width: int) -> list:
+    """The sum of each run (job, stream, indices), all run in one process
+    pool; fn(job, rngs) sums one block of at most width trajectories.
 
-    The result holds, per ensemble, the sums over the groups
-    block_ranges(n, groups) in group order; each group is the sum of its
-    group_blocks(n, groups, width) in block order.  stream is the tag the
-    job's trajectories draw from, or None; it only labels a failure.  The
-    same bytes come back for any thread count.
+    A run's indices, a range of n >= 1, fall into block_ranges(n,
+    ceil(n / width)), and its sum adds their block sums in block order.
+    stream is the tag the run's trajectories draw from, or None for tag 0
+    unlabelled.  The same bytes come back for any thread count.
     """
-    if n < 1:
-        raise ConfigError(f"an ensemble needs at least 1 trajectory, got {n}")
-    layout = group_blocks(n, groups, width)
     keys, tasks = [], []
-    for e, (job, tag) in enumerate(ensembles):
-        for g, blocks in enumerate(layout):
-            for r in blocks:
-                keys.append((e, g))
-                tasks.append((fn, job, master_seed, tag, r))
-    sums = [[None] * len(layout) for _ in ensembles]
+    for r, (job, stream, indices) in enumerate(runs):
+        n = len(indices)
+        for block in block_ranges(n, -(-n // width), indices.start):
+            keys.append(r)
+            tasks.append((fn, job, master_seed, stream, block))
+    sums = [None] * len(runs)
 
     def combine(parts):
-        for (e, g), part in zip(keys, parts):
-            sums[e][g] = part if sums[e][g] is None else _add(sums[e][g], part)
+        for r, part in zip(keys, parts):
+            sums[r] = part if sums[r] is None else _add(sums[r], part)
 
     workers = min(resolve_threads(threads), len(tasks))
     if workers <= 1:
         combine(map(_block_sum, tasks))
         return sums
-    # tasks leave in submission order, so a worker meets the ensembles one
-    # after another and builds each one's set-up at most once
+    # tasks leave in submission order, so a worker meets the runs one after
+    # another and builds each one's set-up at most once
     chunksize = max(1, len(tasks) // (CHUNKS_PER_WORKER * workers))
     try:
         with ProcessPoolExecutor(max_workers=workers) as ex:

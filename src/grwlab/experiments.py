@@ -25,7 +25,6 @@ from .errors import ConfigError, DecisionTimeoutError, StatisticsError
 from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
-from .rngstream import trajectory_rng
 from .units import DEFAULT_UNITS
 
 
@@ -132,7 +131,10 @@ class MeasurementConfig:
             raise ConfigError(f"|c_up|^2 + |c_down|^2 = {w}, must be 1")
         if not (0 < self.decision_epsilon < 1):
             raise ConfigError("decision_epsilon must be in (0, 1)")
-        _require_positive(self, "hits_budget")
+        _require_grid(self, "pointer_sigma", "hits_budget")
+        if not self.pointer_n_nucleons >= 1:
+            raise ConfigError(
+                f"pointer_n_nucleons must be >= 1, got {self.pointer_n_nucleons}")
         if self.pointer_separation <= 4.0 * self.pointer_sigma:
             raise ConfigError(
                 "pointer_separation must exceed 4 * pointer_sigma "
@@ -148,6 +150,18 @@ def _require_positive(cfg, *names: str) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ConfigError(f"{name} must be > 0, got {value}")
+
+
+def check_grid_n(n: int) -> None:
+    """grid_n must be a power of two, as Grid1D's points are."""
+    if not (n > 0 and n & (n - 1) == 0):
+        raise ConfigError(f"grid_n must be a positive power of two, got {n}")
+
+
+def _require_grid(cfg, *names: str) -> None:
+    """cfg.grid_n a power of two; grid_extent and names > 0."""
+    check_grid_n(cfg.grid_n)
+    _require_positive(cfg, "grid_extent", *names)
 
 
 @lru_cache(maxsize=1)
@@ -171,7 +185,7 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
     weights are checked at t = 0 and after each hit, up to hits_budget / rate,
     until one falls below decision_epsilon."""
     start = _initial_hybrid(cfg)
-    rate = params.total_rate_internal()
+    rate = params.total_rate_internal(cfg.pointer_n_nucleons)
     if rate <= 0:
         raise ConfigError("born_trials needs a positive total collapse rate")
     evolution = start.flight(cfg.pointer_n_nucleons, len(rngs))
@@ -195,11 +209,9 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
     return ["up" if u else "down" for u in up]
 
 
-def _born_worker(job, master_seed: int, indices) -> int:
+def _born_worker(job, rngs) -> int:
     """The block's up count."""
-    cfg, params = job
-    rngs = [trajectory_rng(master_seed, i) for i in indices]
-    return sum(o == "up" for o in born_trials(cfg, params, rngs))
+    return sum(o == "up" for o in born_trials(*job, rngs))
 
 
 def born_ensemble(
@@ -209,8 +221,8 @@ def born_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> Report:
-    [[n_up]] = map_trajectories(
-        _born_worker, [((cfg, params), None)], n_trajectories, master_seed, threads,
+    [n_up] = map_trajectories(
+        _born_worker, [((cfg, params), None, range(n_trajectories))], master_seed, threads,
         width=_pass_width(2 * cfg.grid_n),  # rows (up, down)
     )
     n = n_trajectories
@@ -253,14 +265,15 @@ class DecoherenceConfig:
     n_samples: int = 16
 
     def __post_init__(self):
-        _require_positive(self, "hit_resolution", "n_efoldings", "n_samples")
+        _require_grid(self, "packet_sigma_over_rc", "mass", "hit_resolution",
+                      "n_efoldings", "n_samples")
 
 
 def _decoherence_grid(cfg: DecoherenceConfig, params, d) -> list[float]:
     """The sample times of a run over n_efoldings of Gamma(d): steps of
     hit_resolution / rate, every (steps // n_samples)-th and the last."""
-    rate = params.total_rate_internal()
-    gamma = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
+    rate = params.total_rate_internal(cfg.mass)
+    gamma = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params, cfg.mass))
     t_total = cfg.n_efoldings / (gamma if gamma > 0 else rate)
     dt = cfg.hit_resolution / rate
     n_steps = max(1, int(round(t_total / dt)))
@@ -297,19 +310,18 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
                              _frozen(phases), _frozen(packets))
 
 
-def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
-    """The trajectories indices, run as one pass; returns a_L * conj(a_R)
-    at the sample times, one row per trajectory.
+def _coherence_samples(job, rngs) -> np.ndarray:
+    """The trajectories drawing from rngs, run as one pass; returns
+    a_L * conj(a_R) at the sample times, one row per trajectory.
 
     Between hits the spectrum drifts by a phase, so each sample's overlaps
     are read in k space from the anchor's spectrum drifted back to t = 0
     (FreeFlight.origin_spectrum, one per anchor) and the set-up's tables.
     """
-    cfg, params, d, stream = job
+    cfg, params, d = job
     setup = _decoherence_setup(cfg, params, d)
     times = setup.times
-    rngs = [trajectory_rng(master_seed, i, stream) for i in indices]
-    rate = params.total_rate_internal()
+    rate = params.total_rate_internal(cfg.mass)
     evolution = setup.start.flight(cfg.mass, len(rngs))
     out = np.empty((len(rngs), len(times)), dtype=np.complex128)
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
@@ -325,12 +337,12 @@ def _coherence_samples(job, master_seed: int, indices) -> np.ndarray:
     return out
 
 
-def _coherence_terms(job, master_seed: int, indices):
+def _coherence_terms(job, rngs):
     """The block's sums of each trajectory's coherence trace c, of
     x = |c_last| - |c_0| and of x^2.  Every trajectory has the same c_0, so
     the sums of x and x^2 give the spread of |c_last| for the flat-coherence
     estimate without the cancellation of raw sums."""
-    return total([(c, x, x * x) for c in _coherence_samples(job, master_seed, indices)
+    return total([(c, x, x * x) for c in _coherence_samples(job, rngs)
                   for x in [abs(c[-1]) - abs(c[0])]])
 
 
@@ -348,14 +360,15 @@ def decoherence_scan(
     tag j.
     """
     n = ensemble_size
-    ensembles = [((cfg, params, float(d), j), j) for j, d in enumerate(separations)]
-    scans = map_trajectories(_coherence_terms, ensembles, n, master_seed, threads,
+    runs = [((cfg, params, float(d)), j, range(n)) for j, d in enumerate(separations)]
+    scans = map_trajectories(_coherence_terms, runs, master_seed, threads,
                              width=_pass_width(cfg.grid_n))
     reports = []
-    for d, [(sum_c, sum_x, sum_x2)] in zip(separations, scans):
+    for d, (sum_c, sum_x, sum_x2) in zip(separations, scans):
         t = np.array(_decoherence_grid(cfg, params, d))
         mean_c = np.abs(sum_c / n)
-        gamma_analytic = DEFAULT_UNITS.rate_to_internal(effective_reduction_rate(d, params))
+        gamma_analytic = DEFAULT_UNITS.rate_to_internal(
+            effective_reduction_rate(d, params, cfg.mass))
         if gamma_analytic > 0:
             slope, intercept, r2, slope_err = _linear_fit(t, np.log(mean_c))
             gamma_fit, gamma_err = -slope, slope_err
@@ -422,25 +435,26 @@ class VisibilityConfig:
     n_fringes: int = 5
 
     def __post_init__(self):
-        _require_positive(self, "n_batches")
+        _require_grid(self, "sigma0", "mass", "n_batches")
         if not (isinstance(self.n_fringes, int) and self.n_fringes >= 1):
             raise ConfigError(f"n_fringes must be an integer >= 1, got {self.n_fringes}")
 
 
-def momentum_screen(amps: np.ndarray, grid: Grid1D, pad: int = 8) -> np.ndarray:
-    """Far-field intensity |psi(p)|^2 on screen_axis(grid, pad), one row per
-    state in amps (N,) or (W, N).
+# Zero-padding the screen's transform SCREEN_PAD-fold samples it on a p grid that
+# many times finer: exact interpolation for a state supported inside the box.
+SCREEN_PAD = 8
 
-    Zero-padding by `pad` evaluates the transform on a p grid `pad` times
-    finer; this is exact interpolation for a state supported inside the box.
-    """
-    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * pad), axes=-1)
+
+def momentum_screen(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Far-field intensity |psi(p)|^2 on screen_axis(grid), one row per
+    state in amps (N,) or (W, N)."""
+    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * SCREEN_PAD), axes=-1)
     return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
 
 
-def screen_axis(grid: Grid1D, pad: int = 8) -> np.ndarray:
+def screen_axis(grid: Grid1D) -> np.ndarray:
     """The p axis of momentum_screen, in ascending order."""
-    return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n_points * pad, d=grid.dx))
+    return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(SCREEN_PAD * grid.n_points, grid.dx))
 
 
 @lru_cache(maxsize=1)
@@ -459,14 +473,13 @@ def _unhit_screen(cfg: VisibilityConfig, d: float, t_flight: float) -> np.ndarra
     return _frozen(momentum_screen(arms[:, 0], start.grid)[0])
 
 
-def _screen_worker(job, master_seed: int, indices) -> np.ndarray:
+def _screen_worker(job, rngs) -> np.ndarray:
     """The block's summed far-field screens, each read from one drift of
     its trajectory's last anchor to t_flight; a trajectory without a hit
     adds _unhit_screen."""
     cfg, params, d, t_flight = job
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
-    rngs = [trajectory_rng(master_seed, i) for i in indices]
     evolution = start.flight(cfg.mass, len(rngs))
     out = [None] * len(rngs)
     for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
@@ -532,28 +545,27 @@ def visibility_experiment(
             f"{d + 12 * cfg.sigma0:g} > extent = {cfg.grid_extent:g}"
         )
     fringe_spacing = 2.0 * np.pi / d
-    pad = 8
-    p_axis = screen_axis(Grid1D.centered(cfg.grid_n, cfg.grid_extent), pad)
-    if pad * cfg.grid_extent / d < 8.0:
+    p_axis = screen_axis(Grid1D.centered(cfg.grid_n, cfg.grid_extent))
+    if SCREEN_PAD * cfg.grid_extent / d < 8.0:
         raise ConfigError(
-            f"far-field sampling too coarse: {pad * cfg.grid_extent / d:.1f} "
+            f"far-field sampling too coarse: {SCREEN_PAD * cfg.grid_extent / d:.1f} "
             "points per fringe (need >= 8)"
         )
 
     ideal = _unhit_screen(cfg, d, t_flight)  # the no-collapse control
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
-    # the batch-means batches are the ensemble's groups: one summed screen each
+    # the batch-means batches are the ensemble's runs: one summed screen each
     job = (cfg, params, d, t_flight)
-    [sums] = map_trajectories(_screen_worker, [(job, None)], ensemble_size,
-                              master_seed, threads, groups=cfg.n_batches,
-                              width=_pass_width(pad * cfg.grid_n))
+    batches = block_ranges(ensemble_size, cfg.n_batches)
+    sums = map_trajectories(_screen_worker, [(job, None, b) for b in batches],
+                            master_seed, threads, width=_pass_width(SCREEN_PAD * cfg.grid_n))
     mean_intensity = total(sums) / ensemble_size
     v_measured = fringe_contrast(mean_intensity, p_axis, fringe_spacing, cfg.n_fringes)
 
     # batch-means error bar on the contrast ratio
     ratios = []
-    for batch_sum, batch in zip(sums, block_ranges(ensemble_size, cfg.n_batches)):
+    for batch_sum, batch in zip(sums, batches):
         try:
             v_b = fringe_contrast(batch_sum / len(batch), p_axis, fringe_spacing,
                                   cfg.n_fringes)
@@ -593,7 +605,7 @@ class HeatingConfig:
     sample_every: int = 10
 
     def __post_init__(self):
-        _require_positive(self, "dt_internal", "sample_every")
+        _require_grid(self, "sigma0", "mass", "dt_internal", "sample_every")
 
 
 @lru_cache(maxsize=1)
@@ -608,7 +620,7 @@ def _heating_times(cfg: HeatingConfig, t_total: float) -> list[float]:
     return sample_times(dt, step_count(t_total, dt), cfg.sample_every)
 
 
-def _heating_worker(job, master_seed: int, indices):
+def _heating_worker(job, rngs):
     """The block's summed (energy, <p^2>, hit count) at _heating_times.
 
     Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m at a
@@ -619,8 +631,6 @@ def _heating_worker(job, master_seed: int, indices):
     start = _one_packet(cfg)
     times = np.array(_heating_times(cfg, t_total))
     rate = params.total_rate_internal(cfg.mass)
-
-    rngs = [trajectory_rng(master_seed, i) for i in indices]
     evolution = start.flight(cfg.mass, len(rngs))
     p2 = np.empty((len(rngs), len(times)))
     hits = [0] * len(rngs)
@@ -648,8 +658,8 @@ def heating_experiment(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
     job = (cfg, params, t_total)
-    [[(sum_e, sum_p2, hits)]] = map_trajectories(
-        _heating_worker, [(job, None)], ensemble_size, master_seed, threads,
+    [(sum_e, sum_p2, hits)] = map_trajectories(
+        _heating_worker, [(job, None, range(ensemble_size))], master_seed, threads,
         width=_pass_width(cfg.grid_n),
     )
     t = np.array(_heating_times(cfg, t_total))

@@ -24,7 +24,6 @@ class UnitSystem:
     length_unit_m: float = CANONICAL_RC_M
     mass_unit_kg: float = NUCLEON_MASS_KG
     time_unit_s: float = field(init=False, default=0.0)
-    hbar_internal: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         if not (self.length_unit_m > 0 and self.mass_unit_kg > 0):

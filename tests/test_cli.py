@@ -296,6 +296,32 @@ def test_nonpositive_config_values_are_exit_one(tmp_path, argv):
     assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
 
 
+# (subcommand, key, value): grid and packet inputs that no run can use
+BAD_GRID_AND_PACKET = (
+    [(cmd, key, value) for cmd in ("born", "heating", "decohere")
+     for key, value in [("grid_n", "0"), ("grid_n", "1000"), ("grid_extent", "0")]]
+    + [("born", "pointer_sigma", "0"), ("born", "pointer_n_nucleons", "0.5"),
+       ("heating", "mass", "0"), ("heating", "sigma0", "0"),
+       ("decohere", "mass", "0"), ("decohere", "packet_sigma_over_rc", "0")]
+    + [("visibility", key, value) for key, value in
+       [("grid_n", "0"), ("grid_n", "1000"), ("sigma0", "0"), ("mass", "0")]]
+    + [(cmd, key, value) for cmd in ("evolve", "trajectory") for key, value in
+       [("grid_n", "0"), ("grid_n", "1000"), ("grid_extent", "0"), ("sigma0", "0"),
+        ("mass", "0"), ("mass", "-1")]]
+)
+
+
+@pytest.mark.parametrize("cmd, key, value", BAD_GRID_AND_PACKET,
+                         ids=[f"{c}-{k}-{v}" for c, k, v in BAD_GRID_AND_PACKET])
+def test_bad_grid_and_packet_inputs_are_exit_one(tmp_path, capsys, cmd, key, value):
+    # refused as a config error naming the key, not blamed on a trajectory
+    argv = [cmd, f"--{key.replace('_', '-')}", value, "--out", str(tmp_path)]
+    if cmd not in ("evolve", "trajectory"):
+        argv += ["--n-traj", "2"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+
+
 @pytest.mark.parametrize("argv", [
     ["born"],
     ["decohere"],

@@ -12,9 +12,10 @@ import pytest
 from grwlab import ensemble, experiments
 from grwlab.cli import run
 from grwlab.collapse import CollapseParams
-from grwlab.ensemble import block_ranges, group_blocks, map_trajectories, total
+from grwlab.ensemble import block_ranges, map_trajectories, total
 from grwlab.errors import (
     BoundsParseError,
+    ConfigError,
     DecisionTimeoutError,
     GrwError,
     SnapshotFormatError,
@@ -28,48 +29,64 @@ from grwlab.experiments import (
     decoherence_scan,
     visibility_experiment,
 )
+from grwlab.rngstream import trajectory_rng
 from grwlab.units import convert_rate_to_si
 
 
-def _label(job, master_seed, indices):
-    # strings add by concatenation, so a block sum spells out its order
-    return "".join(f"{job}{master_seed}:{index};" for index in indices)
+def _first_draws(indices, seed=0, stream=0):
+    """The first draw of each of the generators trajectory_rng(seed, i, stream)."""
+    return [trajectory_rng(seed, i, stream).random() for i in indices]
 
 
-def _rounding(job, master_seed, indices):
+def _draws(job, rngs):
+    # lists add by concatenation, so a run's sum lists every generator's
+    # first draw in the order the block sums were added
+    return [(job, rng.random()) for rng in rngs]
+
+
+def _blocks(job, rngs):
+    # one list per block, so a run's sum lists its blocks in order
+    return [[rng.random() for rng in rngs]]
+
+
+def _rounding(job, rngs):
     # sums of these depend on the order of the additions in the last bits
-    return total([np.array([0.1 * 3.0**index, 1.0 / (index + 7)]) * job
-                  for index in indices])
+    return total([np.array([0.1 * 3.0 ** (40 * u), 1.0 / (7 + 100 * u)]) * job
+                  for u in (rng.random() for rng in rngs)])
 
 
-def _fails_at_two(job, master_seed, indices):
-    if 2 in indices:
+def _fails_on(job, rngs):
+    # job is the first draw of the generator whose trajectory fails
+    if job in [rng.random() for rng in rngs]:
         raise ZeroSupportError("hit on nothing")
-    return sum(indices)
+    return len(rngs)
 
 
-def _dies(job, master_seed, indices):
+def _dies(job, rngs):
     os._exit(3)
 
 
-def _spelled(job, indices):
-    return _label(job, 9, indices)
+def _spelled(job, indices, seed, stream=0):
+    return [(job, u) for u in _first_draws(indices, seed, stream)]
 
 
-def _bounds(job, master_seed, indices):
-    # lists add by concatenation, so a group sum lists its blocks in order
-    return [(indices.start, indices.stop)]
+def _run_blocks(indices, width):
+    """The blocks map_trajectories makes of one run: ceil(n / width) of them."""
+    return block_ranges(len(indices), -(-len(indices) // width), indices.start)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_results_come_in_index_order(threads):
-    # strings concatenate, so a group sum spells out every index once, in
-    # index order, whatever the blocks and the chunks a pool hands out
-    assert map_trajectories(_label, [("job", None)], 5, 9, threads, groups=2,
-                            width=2) == [["job9:0;job9:1;job9:2;", "job9:3;job9:4;"]]
+    # lists concatenate, so a run's sum lists every generator once, in index
+    # order, whatever the blocks and the chunks a pool hands out; a None
+    # stream draws from tag 0
+    runs = [("job", None, range(3)), ("job", None, range(3, 5))]
+    assert map_trajectories(_draws, runs, 9, threads, width=2) == [
+        _spelled("job", range(3), 9), _spelled("job", range(3, 5), 9)]
     n = 101  # 26 blocks of 3 and 4 indices
-    assert map_trajectories(_label, [("a", 0), ("b", 1)], n, 9, threads, width=4) == [
-        [_spelled("a", range(n))], [_spelled("b", range(n))]
+    runs = [("a", 0, range(n)), ("b", 1, range(n))]
+    assert map_trajectories(_draws, runs, 9, threads, width=4) == [
+        _spelled("a", range(n), 9, 0), _spelled("b", range(n), 9, 1)
     ]
 
 
@@ -78,42 +95,48 @@ def test_block_ranges_depend_on_n_only():
     assert block_ranges(2, 10) == [range(0, 1), range(1, 2)]
     assert block_ranges(5, 2, start=10) == [range(10, 13), range(13, 15)]
     assert [len(r) for r in block_ranges(96, 10)] == [10] * 6 + [9] * 4
-    # a group falls into the fewest near-equal blocks no wider than width:
+    with pytest.raises(ConfigError, match="at least 1 trajectory, got 0"):
+        block_ranges(0, 10)
+    # a run falls into the fewest near-equal blocks no wider than width:
     # the benchmark's heating, born and decohere ensembles take full passes
     for n, width, blocks in [(384, 32, 12), (3000, 8, 375), (320, 16, 20)]:
-        assert group_blocks(n, 1, width) == [block_ranges(n, blocks)]
-        assert {len(r) for r in group_blocks(n, 1, width)[0]} == {width}
-    assert [len(r) for r in group_blocks(100, 1, 32)[0]] == [25] * 4
-    assert [len(r) for r in group_blocks(5, 1, 32)[0]] == [5]
+        [layout] = map_trajectories(_blocks, [(None, None, range(n))], 0, width=width)
+        assert layout == [_first_draws(r) for r in block_ranges(n, blocks)]
+        assert {len(b) for b in layout} == {width}
+    for n, lengths in [(100, [25] * 4), (5, [5])]:
+        [layout] = map_trajectories(_blocks, [(None, None, range(n))], 0, width=32)
+        assert [len(b) for b in layout] == lengths
     # visibility's 10 batches of 96, at 2 screens a block: 5 blocks each
-    layout = group_blocks(96, 10, 2)
-    assert [range(b[0].start, b[-1].stop) for b in layout] == block_ranges(96, 10)
+    batches = block_ranges(96, 10)
+    layout = map_trajectories(_blocks, [(None, None, b) for b in batches], 0, width=2)
+    assert [sum(blocks, []) for blocks in layout] == [_first_draws(b) for b in batches]
     assert [len(r) for b in layout for r in b] == [2] * 30 + [2, 2, 2, 2, 1] * 4
 
 
 def test_block_layout_is_the_same_for_any_thread_count():
-    layouts = [map_trajectories(_bounds, [(None, None)], 96, 0, t, groups=10, width=2)[0]
-               for t in (1, 2, 3)]
-    expected = [[(r.start, r.stop) for r in blocks] for blocks in group_blocks(96, 10, 2)]
+    batches = block_ranges(96, 10)
+    runs = [(None, None, b) for b in batches]
+    layouts = [map_trajectories(_blocks, runs, 0, t, width=2) for t in (1, 2, 3)]
+    expected = [[_first_draws(r) for r in _run_blocks(b, 2)] for b in batches]
     assert layouts == [expected] * 3
 
 
 def test_block_sums_are_bit_identical_for_any_thread_count():
-    n, groups, width = 83, 4, 6  # n is not a multiple of the group or block count
-    sums = {t: map_trajectories(_rounding, [(1.5, None)], n, 0, t, groups=groups,
-                                width=width)[0]
-            for t in (1, 2, 3)}
-    for blocks, group_sum in zip(group_blocks(n, groups, width), sums[1]):
+    n, groups, width = 83, 4, 6  # n is not a multiple of the run or block count
+    batches = block_ranges(n, groups)
+    runs = [(1.5, None, b) for b in batches]
+    sums = {t: map_trajectories(_rounding, runs, 0, t, width=width) for t in (1, 2, 3)}
+    for batch, run_sum in zip(batches, sums[1]):
         partials = []
-        for r in blocks:
-            partial = _rounding(1.5, 0, r[:1])
+        for r in _run_blocks(batch, width):
+            partial = _rounding(1.5, [trajectory_rng(0, r[0])])
             for i in r[1:]:
-                partial = partial + _rounding(1.5, 0, [i])
+                partial = partial + _rounding(1.5, [trajectory_rng(0, i)])
             partials.append(partial)
         expected = partials[0]
         for partial in partials[1:]:
             expected = expected + partial
-        assert group_sum.tobytes() == expected.tobytes()
+        assert run_sum.tobytes() == expected.tobytes()
     for t in (2, 3):
         assert [s.tobytes() for s in sums[t]] == [s.tobytes() for s in sums[1]]
 
@@ -176,8 +199,11 @@ def test_visibility_memory_does_not_grow_with_n():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_error_inside_a_block_names_its_trajectory(threads):
+    # only the generator of trajectory 2 of seed 11, stream 3 fails
+    fail = trajectory_rng(11, 2, 3).random()
+    runs = [(fail, 3, b) for b in block_ranges(6, 2)]
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, [(None, 3)], 6, 11, threads, groups=2, width=3)
+        map_trajectories(_fails_on, runs, 11, threads, width=3)
     message = str(info.value)
     assert message.startswith("trajectory 2 of seed 11, stream 3: hit on nothing")
 
@@ -195,21 +221,23 @@ def test_errors_with_extra_fields_survive_pickling(exc, attr):
     assert getattr(back, attr) == getattr(exc, attr)
 
 
-def _raises_snapshot_error(job, master_seed, indices):
+def _raises_snapshot_error(job, rngs):
     raise SnapshotFormatError("bad magic", 3)
 
 
 def test_pool_returns_an_error_with_extra_fields_as_itself():
     with pytest.raises(SnapshotFormatError) as info:
-        map_trajectories(_raises_snapshot_error, [(None, None)], 2, 4, threads=2, width=1)
+        map_trajectories(_raises_snapshot_error, [(None, None, range(2))], 4, threads=2,
+                         width=1)
     assert info.value.offset == 3
     assert str(info.value) == "trajectory 0 of seed 4: bad magic (at byte offset 3)"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_worker_error_names_trajectory_seed_and_stream(threads):
+    fail = trajectory_rng(11, 2, 3).random()
     with pytest.raises(ZeroSupportError) as info:
-        map_trajectories(_fails_at_two, [(None, 3)], 4, 11, threads, width=2)
+        map_trajectories(_fails_on, [(fail, 3, range(4))], 11, threads, width=2)
     message = str(info.value)
     assert "trajectory 2" in message and "seed 11" in message
     assert "stream 3" in message and "hit on nothing" in message
@@ -242,4 +270,4 @@ def test_cli_reports_the_failing_trial(tmp_path, capsys):
 
 def test_dead_worker_is_a_grw_error():
     with pytest.raises(GrwError, match="worker process"):
-        map_trajectories(_dies, [(None, None)], 2, 0, threads=2, width=1)
+        map_trajectories(_dies, [(None, None, range(2))], 0, threads=2, width=1)

@@ -1,5 +1,7 @@
 """Small-ensemble smoke checks; the full-size gates live in test_acceptance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,7 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    energy, p2, hits = _heating_worker((cfg, params, t_total), 3, [0])
+    energy, p2, hits = _heating_worker((cfg, params, t_total), [trajectory_rng(3, 0)])
     t = experiments._heating_times(cfg, t_total)
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
@@ -241,14 +243,14 @@ def test_decoherence_scan_accepts_largest_seed():
     assert [r.seed for r in reports] == [2**64 - 1] * 2
 
 
-def _decohere_job(d, stream=0):
-    return (DecoherenceConfig(), _params(2.0, 1.0), d, stream)
+def _decohere_job(d):
+    return (DecoherenceConfig(), _params(2.0, 1.0), d)
 
 
-def _x_space_coherence(job, master_seed, index):
+def _x_space_coherence(job, rng):
     """_coherence_samples the direct way: rebuild psi(t) at each sample and
     take both overlaps in x space.  Returns (samples, hit count)."""
-    cfg, params, d, stream = job
+    cfg, params, d = job
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
     sigma = cfg.packet_sigma_over_rc * params.r_c
     phi_l = gaussian_packet(grid, -d / 2.0, 0.0, sigma, cfg.mass)
@@ -256,7 +258,6 @@ def _x_space_coherence(job, master_seed, index):
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
     times = experiments._decoherence_grid(cfg, params, d)
     evolution = FreeFlight(grid, cfg.mass, psi.amps[None, None])
-    rng = trajectory_rng(master_seed, index, stream)
     out, hits = [], 0
     for rnd in grw_process(
         evolution, params.total_rate_internal(), params.r_c, times[-1], [rng]
@@ -272,8 +273,8 @@ def _x_space_coherence(job, master_seed, index):
 @pytest.mark.parametrize("d", [0.5, 2.0, 10.0])
 def test_decohere_k_space_samples_match_x_space_overlaps(d):
     job = _decohere_job(d)
-    [fast] = experiments._coherence_samples(job, 8, [1])
-    slow, hits = _x_space_coherence(job, 8, 1)
+    [fast] = experiments._coherence_samples(job, [trajectory_rng(8, 1)])
+    slow, hits = _x_space_coherence(job, trajectory_rng(8, 1))
     assert hits >= 1 and len(fast) == len(slow) >= 17
     # relative to the initial coherence: after a hit at d = 10 r_c the
     # coherence itself is ~1e-22, far below the round-off of either sum
@@ -297,10 +298,10 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
 
     monkeypatch.setattr(experiments, "grw_process", watched)
     job = _decohere_job(2.0)
-    experiments._coherence_samples(job, 1, [0])  # builds the set-up
+    experiments._coherence_samples(job, [trajectory_rng(1, 0)])  # builds the set-up
     calls.clear()
     at_samples.clear()
-    [samples] = experiments._coherence_samples(job, 1, [0])
+    [samples] = experiments._coherence_samples(job, [trajectory_rng(1, 0)])
     hits = calls.count("irfft")  # one density convolution per hit
     assert hits >= 1 and len(at_samples) == hits + 1 and len(samples) >= 17
     # a sample reads the anchor's spectrum, taken once per anchor and reused
@@ -311,10 +312,10 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
 
 def test_ensemble_set_up_is_read_only():
     job = _decohere_job(2.0)
-    setup = experiments._decoherence_setup(*job[:3])
+    setup = experiments._decoherence_setup(*job)
     arrays = [setup.start.rows, setup.start.spectrum, setup.phases, setup.packets]
     before = [a.copy() for a in arrays]
-    experiments._coherence_samples(job, 2, [0])
+    experiments._coherence_samples(job, [trajectory_rng(2, 0)])
     for a, b in zip(arrays, before):
         assert a.tobytes() == b.tobytes()
         with pytest.raises(ValueError):
@@ -333,3 +334,23 @@ def test_mass_scaled_visibility_matches_the_same_rate_by_nucleon_count():
     res = visibility_experiment(64.0, scaled, 1.0, 4, cfg, 9)
     assert res == visibility_experiment(64.0, counted, 1.0, 4, cfg, 9)
     assert res["V_analytic"] < 1.0
+
+
+def test_mass_scaled_decoherence_matches_the_same_rate_by_nucleon_count():
+    # the run, its sample grid and the closed form all take the packets' mass
+    cfg = DecoherenceConfig(grid_n=512, n_efoldings=1.0, n_samples=4)
+    scaled = _params(2e-6, 1.0, mass_scaling=True)
+    counted = _params(2e-6, 1.0, n_nucleons=cfg.mass)
+    res = decoherence_scan([0.5, 10.0], scaled, 6, cfg, 9)
+    assert json.dumps(res) == json.dumps(decoherence_scan([0.5, 10.0], counted, 6, cfg, 9))
+    assert res[1].fit_diagnostics["gamma_analytic_internal"] > 1.9
+
+
+def test_mass_scaled_born_matches_the_same_rate_by_nucleon_count():
+    # the pointer's mass is its nucleon count
+    cfg = MeasurementConfig(c_up=np.sqrt(0.3), c_down=np.sqrt(0.7))
+    scaled = _params(1.0, 1.0, mass_scaling=True)
+    counted = _params(1.0, 1.0, n_nucleons=cfg.pointer_n_nucleons)
+    res = born_ensemble(cfg, scaled, 12, 9)
+    assert json.dumps(res) == json.dumps(born_ensemble(cfg, counted, 12, 9))
+    assert res.table == born_ensemble(cfg, counted, 12, 9).table

@@ -2,6 +2,8 @@
 yet every block sum has the bits of its trajectories run one at a time, and
 a failure names a trajectory whose lone run fails the same way."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,17 +35,23 @@ def _params(lambda_internal, r_c, **kw):
 _BORN = MeasurementConfig(c_up=np.sqrt(0.3), c_down=np.sqrt(0.7), pointer_separation=8.0)
 _BORN_PARAMS = _params(1.0, 1.0, n_nucleons=_BORN.pointer_n_nucleons)
 _VISIBILITY = VisibilityConfig(grid_n=512)
-# (worker, job): one ensemble of each experiment at small size
+# (worker, job, stream): one ensemble of each experiment at small size
 WORKERS = {
-    "born": (experiments._born_worker, (_BORN, _BORN_PARAMS)),
+    "born": (experiments._born_worker, (_BORN, _BORN_PARAMS), 0),
     "decohere": (experiments._coherence_terms,
-                 (DecoherenceConfig(n_samples=6), _params(2.0, 1.0), 2.0, 1)),
-    "visibility": (experiments._screen_worker, (_VISIBILITY, _params(1.0, 4.0), 64.0, 1.0)),
-    "heating": (experiments._heating_worker, (HeatingConfig(), _params(4.0, 1.0), 1.5)),
+                 (DecoherenceConfig(n_samples=6), _params(2.0, 1.0), 2.0), 1),
+    "visibility": (experiments._screen_worker,
+                   (_VISIBILITY, _params(1.0, 4.0), 64.0, 1.0), 0),
+    "heating": (experiments._heating_worker, (HeatingConfig(), _params(4.0, 1.0), 1.5), 0),
 }
 # the points of each one's widest array per trajectory, which set its width:
 # born's (up, down) rows, decohere's and heating's one row, visibility's screen
 POINTS = {"born": 2 * 1024, "decohere": 1024, "visibility": 8 * 512, "heating": 512}
+
+
+def _rngs(indices, stream, seed=3):
+    """The generators of trajectories indices, as map_trajectories builds them."""
+    return [trajectory_rng(seed, i, stream) for i in indices]
 
 
 def _bytes(result):
@@ -64,10 +72,10 @@ def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
     width = experiments._pass_width(POINTS[name])
     if not points:
         assert width == {"born": 8, "decohere": 16, "visibility": 4, "heating": 32}[name]
-    worker, job = WORKERS[name]
+    worker, job, stream = WORKERS[name]
     block = range(5, 5 + width)
-    lone = [worker(job, 3, [i]) for i in block]
-    assert _bytes(worker(job, 3, block)) == _bytes(total(lone))
+    lone = [worker(job, _rngs([i], stream)) for i in block]
+    assert _bytes(worker(job, _rngs(block, stream))) == _bytes(total(lone))
 
 
 def test_every_ensemble_takes_blocks_of_one_full_pass(monkeypatch):
@@ -101,9 +109,9 @@ def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
 
     monkeypatch.setattr(experiments, "grw_process", watched)
     for name in ("visibility", "born"):
-        worker, job = WORKERS[name]
+        worker, job, stream = WORKERS[name]
         sizes.clear()
-        worker(job, 3, range(5, 25))
+        worker(job, _rngs(range(5, 25), stream))
         assert len(sizes) == 1
         assert any(a > b > 0 for s in sizes for a, b in zip(s, s[1:])), (name, sizes)
 
@@ -134,3 +142,21 @@ def test_pass_failure_names_its_stream():
     with pytest.raises(DomainError) as info:
         decoherence_scan([2.0, 10.0], _params(2.0, 5.0), 6, cfg, master_seed=3)
     assert str(info.value).startswith("trajectory 0 of seed 3, stream 0: r_c = 5.0")
+
+
+def test_pass_failure_in_a_later_separation_names_its_stream():
+    # a light packet pair spreads across its box unless a hit comes in time:
+    # every trajectory of d = 10 r_c (stream 0) runs through, and the longer
+    # run at d = 1 r_c (stream 1) reads one of its 16 in x after it wrapped
+    cfg = DecoherenceConfig(grid_n=512, mass=1.0, packet_sigma_over_rc=0.5,
+                            n_efoldings=1.0, n_samples=4)
+    params = _params(0.5, 1.0)
+    with pytest.raises(DomainError) as info:
+        decoherence_scan([10.0, 1.0], params, 16, cfg, master_seed=3)
+    named = re.match(r"trajectory (\d+) of seed 3, stream 1: ", str(info.value))
+    assert named, str(info.value)
+    i = int(named.group(1))
+    with pytest.raises(DomainError) as alone:
+        experiments._coherence_terms((cfg, params, 1.0), [trajectory_rng(3, i, 1)])
+    assert str(info.value) == f"trajectory {i} of seed 3, stream 1: {alone.value}"
+    assert "wraps the periodic box" in str(alone.value)

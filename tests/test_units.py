@@ -22,7 +22,10 @@ def test_default_time_unit():
 
 
 def test_hbar_is_one_internally():
-    assert DEFAULT_UNITS.hbar_internal == 1.0
+    # hbar in internal units: hbar_SI * t_unit / (m_unit * L_unit^2)
+    u = DEFAULT_UNITS
+    hbar = HBAR_SI * u.time_unit_s / (u.mass_unit_kg * u.length_unit_m**2)
+    assert hbar == pytest.approx(1.0, rel=1e-15)
 
 
 def test_rate_conversion_canonical():
