@@ -20,7 +20,6 @@ from .collapse import (
     apply_hit,
     effective_reduction_rate,
     grw_trajectory,
-    hit_position_density,
     sample_hit_center,
 )
 from .rngstream import trajectory_rng
@@ -43,7 +42,6 @@ __all__ = [
     "apply_hit",
     "effective_reduction_rate",
     "grw_trajectory",
-    "hit_position_density",
     "sample_hit_center",
     "trajectory_rng",
     "__version__",

@@ -6,7 +6,8 @@ The localization operator centered at a is the multiplication operator
     L(a) = (pi r_c^2)^(-1/4) exp(-(x - a)^2 / (2 r_c^2)),
 
 normalized so that integral da ||L(a) psi||^2 = ||psi||^2: the hit-center
-density p(a) = ||L(a) psi||^2 is automatically a probability density.
+density p(a) = ||L(a) psi||^2, |psi|^2 convolved with the normal density of
+variance r_c^2 / 2, is a probability density, drawn from as x + xi.
 Distances are taken with the minimum-image rule, consistent with the
 periodic grid, so long random walks cannot fall off the edge.
 """
@@ -18,6 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ZeroSupportError
 from .qstate import NORM_TOL, Grid1D, WaveFunction, observables
@@ -92,17 +94,6 @@ class TrajectoryRecord:
         }
 
 
-def _min_image(u: np.ndarray, extent: float) -> np.ndarray:
-    """(u + extent/2) mod extent - extent/2, the offset u on the ring, for
-    |u| < 1.5 extent: any offset from a point of the box to a center at most
-    half a box outside it.  There one wrap by np.where has the bits of
-    np.remainder (an exact fmod, then one rounded add) at a fraction of its
-    cost."""
-    v = u + 0.5 * extent
-    v = np.where(v < 0.0, v + extent, np.where(v >= extent, v - extent, v))
-    return v - 0.5 * extent
-
-
 def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
     if not (np.isfinite(r_c) and r_c > 0):
         raise DomainError(f"r_c must be > 0, got {r_c}")
@@ -116,71 +107,74 @@ def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
         )
 
 
-@lru_cache(maxsize=16)
-def _kernel_rfft(grid: Grid1D, r_c: float) -> np.ndarray:
-    """rfft of the density kernel on the grid, computed once per (grid, r_c)."""
-    u = _min_image(grid.dx * np.arange(grid.n_points), grid.extent)
-    kernel = np.exp(-(u**2) / r_c**2) / np.sqrt(np.pi * r_c**2)
-    out = np.fft.rfft(kernel)
-    out.setflags(write=False)  # shared by every caller
-    return out
-
-
-def hit_position_density(rows: np.ndarray, grid: Grid1D, r_c: float) -> np.ndarray:
-    """p(a) = ||L(a) psi||^2 tabulated on the grid; sums to 1 (times dx).
+def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u):
+    """Hit centers a = x + xi, exact draws from p(a) = ||L(a) psi||^2.
 
     rows is one state (N,), its branch rows (K, N), or the (W, K, N) rows
-    of W states, each state jointly normalized; p has one row (N,) per
-    state: the circular convolution of its summed |psi|^2 with the kernel
-    (pi r_c^2)^(-1/2) exp(-(x-a)^2 / r_c^2)  (the square of L's Gaussian).
+    of W states, each state jointly normalized; u holds three uniforms per
+    state, (3,) for one state and (W, 3) for W.  The first picks the grid
+    point x from the state's |psi|^2, summed over its rows, by its CDF; the
+    other two give xi ~ N(0, r_c^2 / 2) (Box-Muller).  a is x + xi wrapped
+    into the box: a float for one state, a (W,) array for W.
     """
     _check_kernel_resolved(grid, r_c)
-    rho = np.sum(np.abs(np.atleast_2d(rows)) ** 2, axis=-2)
-    norm2 = np.sum(rho, axis=-1) * grid.dx
+    u = np.asarray(u)
+    n = grid.n_points
+    states = np.abs(np.reshape(rows, u.shape[:-1] + (-1, n)))
+    states *= states
+    cdf = np.cumsum(np.sum(states, axis=-2).reshape(-1, n), axis=-1)
+    norm2 = cdf[:, -1] * grid.dx
     bad = np.abs(norm2 - 1.0) > NORM_TOL
     if bad.any():
-        raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2[bad].flat[0]}")
-    p = np.fft.irfft(np.fft.rfft(rho) * _kernel_rfft(grid, r_c), n=grid.n_points)
-    p *= grid.dx  # convolution quadrature weight
-    return np.maximum(p, 0.0)
+        raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2[bad][0]}")
+    u0, u1, u2 = np.reshape(u, (-1, 3)).T
+    # the grid point: the count of CDF values <= u0 total (searchsorted, side="right")
+    j = np.minimum(np.count_nonzero(cdf <= (u0 * cdf[:, -1])[:, None], axis=-1), n - 1)
+    # (r_c / sqrt 2) sqrt(-2 ln(1 - u1)) cos(2 pi u2)
+    xi = r_c * np.sqrt(-np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    a = grid.x_min + (j * grid.dx + xi) % grid.extent
+    return float(a[0]) if u.ndim == 1 else a
 
 
-def sample_hit_center(p: np.ndarray, grid: Grid1D, rng):
-    """Inverse-CDF draws from tabulated densities (CDF linear within cells):
-    a float from one state's p (N,) and its generator rng, or, from the rows
-    of p (W, N) and a sequence of W generators, one center per row, each
-    row drawing one uniform from its own generator."""
-    masses = np.atleast_2d(p) * grid.dx
-    cdf = np.cumsum(masses, axis=-1)
-    total = cdf[:, -1]
-    if (total <= 0).any():
-        raise ZeroSupportError("hit-center density has zero total mass")
-    rngs = [rng] if np.ndim(p) == 1 else rng
-    u = np.array([g.random() for g in rngs]) * total
-    # the cell of u: the count of CDF values <= u (searchsorted, side="right")
-    j = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=-1), grid.n_points - 1)
-    rows = np.arange(len(j))
-    below = np.where(j > 0, cdf[rows, j - 1], 0.0)
-    mass = masses[rows, j]
-    frac = np.divide(u - below, mass, out=np.full_like(u, 0.5), where=mass > 0)
-    # cell j is centered on grid point j; the left half of cell 0 wraps
-    # around the periodic seam to the top of the box
-    a = grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent
-    return float(a[0]) if np.ndim(p) == 1 else a
+@lru_cache(maxsize=16)
+def _image_offsets(grid: Grid1D) -> np.ndarray:
+    """Row (-j) mod N holds m dx for every grid point i, m = i - j wrapped
+    into [-N/2, N/2): the minimum-image offsets from grid point j.  The rows
+    are read-only windows of one table of 2N offsets, made once per grid."""
+    n = grid.n_points
+    table = ((np.arange(2 * n) + n // 2) % n - n // 2) * grid.dx
+    return sliding_window_view(table, n)[:n]
 
 
 def localization_amplitude(grid: Grid1D, a, r_c: float) -> np.ndarray:
-    """The Gaussian factor of L(a) on the grid (minimum-image distance) for
-    a center a at most half a box outside the box; a (W, 1) array of centers
-    gives one row per center."""
-    u = _min_image(grid.x - a, grid.extent)
-    return (np.pi * r_c**2) ** (-0.25) * np.exp(-(u**2) / (2.0 * r_c**2))
+    """The Gaussian factor of L(a) on the grid, at minimum-image distances:
+    (N,) for a float a, one row per center (W, N) for W centers given as
+    (W,) or (W, 1).
+
+    With x_j the grid point at or above a, a = x_j + delta with delta in
+    (-dx, 0], and grid point i lies m dx - delta from a, m = i - j wrapped
+    into [-N/2, N/2).  That offset lies in [-extent/2, extent/2), the
+    minimum image, for every point, the one at the far seam included.
+    Factors below e^-700 are exactly 0: an exp that underflows is several
+    times slower, and so is arithmetic on the subnormal products a tiny
+    nonzero floor would leave.
+    """
+    centers = np.ravel(a)
+    t = np.ceil((centers - grid.x_min) / grid.dx)
+    u = _image_offsets(grid)[(-t).astype(np.int64) % grid.n_points]
+    u -= (centers - (grid.x_min + t * grid.dx))[:, None]
+    u *= u
+    u *= -0.5 / r_c**2
+    g = np.zeros_like(u)
+    np.exp(u, out=g, where=u >= -700.0)
+    g *= (np.pi * r_c**2) ** (-0.25)
+    return g[0] if np.ndim(a) == 0 else g
 
 
 def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float):
     """L(a) applied to every branch row of each state; returns (rows', weight).
 
-    rows are as in hit_position_density, with one center per state in a (a
+    rows are as in sample_hit_center, with one center per state in a (a
     float for one state, a (W,) array for W).  weight = ||L(a) psi||^2,
     summed over a state's rows, is the Born weight of its realized branch;
     each state's rows' are renormalized jointly by it.
@@ -193,17 +187,18 @@ def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float):
             f"hit center {a[off].flat[0]} outside grid [{grid.x_min}, {grid.x_max}]"
         )
     states = np.reshape(rows, a.shape + (-1, grid.n_points))
-    hit_amps = localization_amplitude(grid, a[..., None], r_c)[..., None, :] * states
-    density = np.abs(hit_amps.reshape(a.shape + (-1,)))
-    density *= density  # |L(a) psi|^2, the bits of np.abs(.) ** 2
-    weight = np.sum(density, axis=-1) * grid.dx
+    hit_amps = localization_amplitude(grid, a, r_c)[..., None, :] * states
+    # each state's (re, im) pairs: |L(a) psi|^2 and the renormalization
+    # without a complex abs or a complex division
+    pairs = hit_amps.view(float).reshape(a.shape + (-1,))
+    weight = np.sum(pairs * pairs, axis=-1) * grid.dx
     low = weight < MIN_HIT_WEIGHT
     if low.any():
         raise ZeroSupportError(
             f"hit at a = {a[low].flat[0]} lands on negligible amplitude "
             f"(weight = {weight[low].flat[0]})"
         )
-    hit_amps /= np.sqrt(weight)[..., None, None]
+    pairs /= np.sqrt(weight)[..., None]
     return hit_amps.reshape(np.shape(rows)), weight
 
 
@@ -252,11 +247,13 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
     """The GRW process on the W trajectories of one pass, advanced together.
 
     evolution carries the pass's (W, K, N) rows from t = 0 (propagator.flight).
-    Row w is one trajectory drawing from rngs[w] as if alone: a wait, then a
-    center and a wait per hit.  Its hits fall at the running sums of waits of
-    mean 1/rate, up to t_end, at the times evolution.event_time gives.  A hit
-    draws its center from the density summed over the row's K branch rows,
-    multiplies them all by L(a) and renormalizes them jointly.
+    Row w is one trajectory drawing from rngs[w] as if alone: one uniform
+    for its first wait, then four per hit, three for the center
+    (sample_hit_center) and one for the next wait.  Its hits fall at the
+    running sums of waits of mean 1/rate, up to t_end, at the times
+    evolution.event_time gives.  A hit draws its center from the density
+    summed over the row's K branch rows, multiplies them all by L(a) and
+    renormalizes them jointly.
 
     Round r yields while each running row holds its anchor after r hits
     (evolution.amps, from times evolution.t), which serves the samples that
@@ -279,10 +276,11 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
         else:
             return
         amps = evolution.at(t_next, going)
-        centers = sample_hit_center(hit_position_density(amps, grid, r_c), grid, rngs)
+        u = np.array([rng.random(4) for rng in rngs])
+        centers = sample_hit_center(amps, grid, r_c, u[:, :3])
         amps, weights = apply_hit(amps, grid, centers, r_c)
         evolution.anchor(amps, t_next)
-        t_wait = t_wait + [exponential_variate(rng, rate) for rng in rngs]
+        t_wait = t_wait - np.log1p(-u[:, 3]) / rate
 
 
 def grw_trajectory(

@@ -654,7 +654,7 @@ def heating_experiment(
     _check_positive("t_total", t_total)
     rate = params.total_rate_internal(cfg.mass)
     if rate * t_total < 5.0:
-        raise StatisticsError(
+        raise ConfigError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
     job = (cfg, params, t_total)

@@ -6,7 +6,9 @@ execution order and thread count.  A stream tag t, for runs that need
 several ensembles under one seed, starts the counter at t * 2^192: tag 0 is
 the plain stream, and streams of different tags lie 2^192 blocks apart.
 Only uniform doubles are drawn from numpy; all variates are derived from
-them explicitly.
+them explicitly: an exponential waiting time by inversion,
+-log(1 - u) / rate, and the normal offset of a hit center by Box-Muller,
+sigma sqrt(-2 log(1 - u1)) cos(2 pi u2).
 """
 
 from __future__ import annotations

@@ -135,6 +135,13 @@ def test_a_free_run_that_wraps_its_box_is_exit_two(tmp_path, capsys, argv, error
     assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
+def test_heating_with_too_few_expected_hits_is_exit_one(tmp_path, capsys):
+    # at the default lambda a run expects far fewer than 5 hits: the config
+    # alone rules it out, before any trajectory runs
+    assert run(["heating", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: expected hits")
+
+
 @pytest.mark.parametrize("argv", [
     ["visibility", "--n-traj", "4"],
     # arms at the edges of the 128-wide box: d + 12 sigma0 = extent

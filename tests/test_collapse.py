@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from grwlab.collapse import (
     CollapseParams,
     Round,
-    _min_image,
     apply_hit,
     effective_reduction_rate,
     grw_process,
     grw_trajectory,
-    hit_position_density,
     localization_amplitude,
     sample_hit_center,
 )
-from grwlab.errors import DomainError, GridMismatchError
+from grwlab.errors import DomainError
 from grwlab.propagator import Potential, flight, split_step
 from grwlab.qstate import Grid1D, WaveFunction, gaussian_packet, superpose
 from grwlab.rngstream import exponential_variate, trajectory_rng
@@ -101,8 +99,7 @@ def test_per_hit_momentum_kick_is_exact():
     before = observables(psi)["mean_p2"]
     deltas = []
     for _ in range(400):
-        p = hit_position_density(psi.amps, GRID, r_c)
-        a = sample_hit_center(p, GRID, rng)
+        a = sample_hit_center(psi.amps, GRID, r_c, rng.random(3))
         hit, _ = apply_hit(psi.amps, GRID, a, r_c)
         deltas.append(observables(psi.with_amps(hit))["mean_p2"] - before)
     assert np.mean(deltas) == pytest.approx(1.0 / (2 * r_c**2), rel=0.02)
@@ -113,39 +110,44 @@ def test_hit_density_needs_jointly_normalized_rows():
 
     a = gaussian_packet(GRID, -10.0, 0.0, 1.0, 1.0)
     b = gaussian_packet(GRID, +10.0, 0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        hit_position_density(np.stack([a.amps, b.amps]), GRID, 1.0)  # norm^2 = 2
+    u = [0.5, 0.5, 0.5]
+    with pytest.raises(DomainError, match="jointly normalized"):
+        sample_hit_center(np.stack([a.amps, b.amps]), GRID, 1.0, u)  # norm^2 = 2
+    with pytest.raises(DomainError, match="jointly normalized"):
+        sample_hit_center(np.zeros((2, GRID.n_points)), GRID, 1.0, u)  # no mass
     rows = np.stack([a.amps, b.amps]) / np.sqrt(2.0)
-    assert hit_position_density(rows, GRID, 1.0).sum() * GRID.dx == pytest.approx(1.0)
+    assert GRID.x_min <= sample_hit_center(rows, GRID, 1.0, u) < GRID.x_max
     # born's branch rows, as every trial starts from them
     start = _initial_hybrid(MeasurementConfig(c_up=np.sqrt(0.2), c_down=np.sqrt(0.8)))
-    p = hit_position_density(start.rows, start.grid, 1.0)
-    assert p.sum() * start.grid.dx == pytest.approx(1.0, rel=1e-9)
+    sample_hit_center(start.rows, start.grid, 1.0, u)
 
 
 def test_hit_center_distribution(rng):
     r_c = 1.0
     psi = gaussian_packet(GRID, 0.5, 0.0, 1.0, 1.0)
-    p = hit_position_density(psi.amps, GRID, r_c)
-    centers = np.array([sample_hit_center(p, GRID, rng) for _ in range(20_000)])
+    centers = np.array([sample_hit_center(psi.amps, GRID, r_c, u)
+                        for u in rng.random((20_000, 3))])
     # density is |psi|^2 convolved with a Gaussian of variance r_c^2 / 2
     assert centers.mean() == pytest.approx(0.5, abs=0.03)
     assert centers.var() == pytest.approx(1.0 + r_c**2 / 2, rel=0.05)
 
 
 def test_hit_density_normalized():
+    # p(a) = ||L(a) psi||^2, the weight of a hit at a, integrates to 1
     psi = gaussian_packet(GRID, -3.0, 1.0, 2.0, 1.0)
-    p = hit_position_density(psi.amps, GRID, 1.0)
+    rows = np.broadcast_to(psi.amps, (GRID.n_points, 1, GRID.n_points))
+    _, p = apply_hit(rows, GRID, GRID.x, 1.0)
     assert p.sum() * GRID.dx == pytest.approx(1.0, rel=1e-9)
     assert (p >= 0).all()
 
 
 def test_kernel_resolution_guards():
     psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        hit_position_density(psi.amps, GRID, r_c=0.1)  # < 2 dx
-    with pytest.raises(DomainError):
-        hit_position_density(psi.amps, GRID, r_c=10.0)  # > extent / 8
+    for r_c in (0.1, 10.0):  # < 2 dx, > extent / 8
+        with pytest.raises(DomainError, match=f"r_c = {r_c}"):
+            sample_hit_center(psi.amps, GRID, r_c, [0.5, 0.5, 0.5])
+        with pytest.raises(DomainError, match=f"r_c = {r_c}"):
+            apply_hit(psi.amps, GRID, 0.0, r_c)
 
 
 def test_effective_reduction_rate_limits():
@@ -235,58 +237,127 @@ def test_reduction_rate_monotone_in_separation(d):
     assert 0.0 <= g1 <= g2 <= params.total_rate_si()
 
 
+def _seam_packet(grid):
+    """A packet of width 1 centred on the periodic seam of grid."""
+    u = (grid.x - grid.x_min + 0.5 * grid.extent) % grid.extent - 0.5 * grid.extent
+    return WaveFunction(grid, np.exp(-(u**2) / 4.0), 1.0).normalized()
+
+
 def test_hits_across_periodic_seam_stay_on_grid():
     # a packet centred on the seam: its density has mass on both edges, and
-    # a draw in the left half of cell 0 must wrap to the top of the box
+    # a center drawn past either edge must wrap into the box
     grid = Grid1D.centered(256, 32.0)
-    u = (grid.x - grid.x_min + 0.5 * grid.extent) % grid.extent - 0.5 * grid.extent
-    psi = WaveFunction(grid, np.exp(-(u**2) / 4.0), 1.0).normalized()
-    p = hit_position_density(psi.amps, grid, 1.0)
-    rng = trajectory_rng(3, 0)
-    for _ in range(2000):
-        a = sample_hit_center(p, grid, rng)
+    psi = _seam_packet(grid)
+    centers = [sample_hit_center(psi.amps, grid, 1.0, u)
+               for u in trajectory_rng(3, 0).random((2000, 3))]
+    for a in centers:
         assert grid.x_min <= a < grid.x_max
         apply_hit(psi.amps, grid, a, 1.0)
+    near_top = np.mean(np.array(centers) > 0.0)
+    assert 0.4 < near_top < 0.6
 
 
-def _draw_reference(p, grid, rng):
-    """One inverse-CDF draw by searchsorted, as a loop over rows makes it."""
-    masses = p * grid.dx
-    cdf = np.cumsum(masses)
-    u = rng.random() * cdf[-1]
-    j = min(int(np.searchsorted(cdf, u, side="right")), grid.n_points - 1)
-    below = cdf[j - 1] if j > 0 else 0.0
-    frac = (u - below) / masses[j] if masses[j] > 0 else 0.5
-    return float(grid.x_min + ((j - 0.5 + frac) * grid.dx) % grid.extent)
+def _draw_reference(rows, grid, r_c, u):
+    """One draw by searchsorted and textbook Box-Muller, row by row."""
+    cdf = np.cumsum(np.sum(np.abs(rows) ** 2, axis=0))
+    j = min(int(np.searchsorted(cdf, u[0] * cdf[-1], side="right")), grid.n_points - 1)
+    xi = r_c / np.sqrt(2.0) * np.sqrt(-2.0 * np.log(1.0 - u[1])) * np.cos(2 * np.pi * u[2])
+    return grid.x_min + (grid.x[j] - grid.x_min + xi) % grid.extent
 
 
 def test_a_round_of_draws_has_the_bits_of_draws_row_by_row():
-    # rows with empty cells, a third of them with their mass on the seam
+    # states of two branch rows with empty cells, a third of them with
+    # their mass on the seam
     rs = np.random.default_rng(4)
-    p = rs.random((33, GRID.n_points)) ** 8
-    p[:, rs.random(GRID.n_points) < 0.5] = 0.0
-    p[::3, 1:-1] = 0.0
-    p[::3, [0, -1]] = [1.0, 2.0]
-    p /= p.sum(axis=1, keepdims=True) * GRID.dx
-    rngs = [trajectory_rng(6, w) for w in range(33)]
-    alone = [trajectory_rng(6, w) for w in range(33)]
-    centers = sample_hit_center(p, GRID, rngs)
-    expected = [_draw_reference(row, GRID, rng) for row, rng in zip(p, alone)]
-    assert centers.tobytes() == np.array(expected).tobytes()
-    # each row drew one uniform from its own generator
-    assert [g.random() for g in rngs] == [g.random() for g in alone]
-    one = sample_hit_center(p[1], GRID, trajectory_rng(6, 1))
-    assert type(one) is float and one == expected[1]
+    rows = rs.random((33, 2, GRID.n_points)) ** 4 + 0j
+    rows[:, :, rs.random(GRID.n_points) < 0.5] = 0.0
+    rows[::3, :, 1:-1] = 0.0
+    rows[::3, :, [0, -1]] = [1.0, 2.0]
+    rows /= np.sqrt(np.sum(np.abs(rows) ** 2, axis=(1, 2), keepdims=True) * GRID.dx)
+    u = rs.random((33, 3))
+    centers = sample_hit_center(rows, GRID, 1.0, u)
+    alone = [sample_hit_center(r, GRID, 1.0, v) for r, v in zip(rows, u)]
+    assert all(type(a) is float for a in alone)
+    assert centers.tobytes() == np.array(alone).tobytes()
+    expected = [_draw_reference(r, GRID, 1.0, v) for r, v in zip(rows, u)]
+    # equal on the ring: a center on the seam may come out at either edge
+    gap = (centers - expected + GRID.extent / 2) % GRID.extent - GRID.extent / 2
+    np.testing.assert_allclose(gap, 0.0, atol=1e-12)
 
 
-def test_min_image_has_the_bits_of_remainder():
-    # offsets up to 1.5 boxes: a grid point less a center half a box outside
-    e = GRID.extent
-    u = np.random.default_rng(5).uniform(-1.5 * e, 1.5 * e, 100_000)
-    edges = [-1.5 * e, -e, -0.5 * e, -0.5 * e - 1e-15, 0.0, 0.5 * e, e,
-             np.nextafter(1.5 * e, 0.0)]
-    u = np.concatenate([u, edges])
-    assert _min_image(u, e).tobytes() == ((u + 0.5 * e) % e - 0.5 * e).tobytes()
+def _ks_statistic(centers, rho, grid, r_c):
+    """sqrt(n) D of centers against the closed-form p(a): the mixture of
+    normals of variance r_c^2 / 2 at the grid points, weighted by rho and
+    wrapped into the box (images one box either side)."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    w = rho / rho.sum()
+    keep = w > 1e-16
+    x, w = grid.x[keep], w[keep]
+    a = np.sort(centers)
+    s = r_c / np.sqrt(2.0)
+    cdf = np.zeros_like(a)
+    for shift in (-grid.extent, 0.0, grid.extent):
+        z = (a[:, None] - x - shift) / s
+        z0 = (grid.x_min - x - shift) / s
+        cdf += (ndtr(z) - ndtr(z0)) @ w
+    n = len(a)
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    return np.sqrt(n) * d
+
+
+def _many_centers(rows, grid, r_c, rng, n=20_000, chunk=500):
+    """n centers drawn from the state rows, chunk states at a time."""
+    states = np.broadcast_to(rows, (chunk,) + np.shape(rows))
+    return np.concatenate([sample_hit_center(states, grid, r_c, rng.random((chunk, 3)))
+                           for _ in range(n // chunk)])
+
+
+def test_hit_centers_of_born_state_pass_ks_test():
+    from grwlab.experiments import MeasurementConfig, _initial_hybrid
+
+    start = _initial_hybrid(MeasurementConfig(c_up=np.sqrt(0.2), c_down=np.sqrt(0.8)))
+    centers = _many_centers(start.rows, start.grid, 1.0, trajectory_rng(21, 0))
+    rho = np.sum(np.abs(start.rows) ** 2, axis=0)
+    # Kolmogorov distribution: P(sqrt(n) D > 1.95) = 0.001
+    assert _ks_statistic(centers, rho, start.grid, 1.0) < 1.95
+
+
+def test_hit_centers_across_the_seam_pass_ks_test():
+    grid = Grid1D.centered(256, 32.0)
+    psi = _seam_packet(grid)
+    centers = _many_centers(psi.amps, grid, 2.0, trajectory_rng(22, 0))
+    assert _ks_statistic(centers, np.abs(psi.amps) ** 2, grid, 2.0) < 1.95
+
+
+@pytest.mark.parametrize("r_c", [1.0, 1.5, 8.0])
+def test_localization_amplitude_is_the_minimum_image_gaussian(r_c):
+    # dyadic centers, so that x - a and its wrap are exact: on grid points,
+    # mid-cell, and within dx/2 of the seam on either side.  At r_c = 8
+    # (extent / 8) the point half a box away still carries e^-8 of the
+    # peak, so the far-seam point must take the right image.
+    dx, e = GRID.dx, GRID.extent
+    a = np.array([0.0, GRID.x_min, GRID.x[7], GRID.x[300] + dx / 2,
+                  GRID.x_min + dx / 8, GRID.x_max - dx / 4, GRID.x_max - dx / 2])
+    u = np.remainder(GRID.x - a[:, None] + e / 2, e) - e / 2
+    peak = (np.pi * r_c**2) ** -0.25
+    expected = peak * np.exp(-(u**2) / (2 * r_c**2))
+    for got in (localization_amplitude(GRID, a, r_c),
+                localization_amplitude(GRID, a[:, None], r_c),
+                np.array([localization_amplitude(GRID, float(c), r_c) for c in a])):
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * peak)
+
+
+def test_heating_factor_has_no_subnormal_value():
+    # heating's grid: beyond ~37 r_c the factor is exactly 0, never a
+    # subnormal that slows the exp and every product of the hit
+    grid = Grid1D.centered(512, 128.0)
+    a = np.concatenate([trajectory_rng(23, 0).uniform(grid.x_min, grid.x_max, 64),
+                        [grid.x_min, grid.x_max - grid.dx / 3]])
+    g = localization_amplitude(grid, a, 1.0)
+    assert not np.any((g != 0) & (g < np.finfo(float).tiny))
+    u = np.remainder(grid.x - a[:, None] + grid.extent / 2, grid.extent) - grid.extent / 2
+    assert np.all(g[u**2 / 2 > 700.5] == 0) and np.all(g[u**2 / 2 < 699.5] > 0)
 
 
 def _process_items(rows, t_end, times, rng):
@@ -333,9 +404,10 @@ def test_grw_process_identical_rows_follow_one_state():
             np.testing.assert_allclose(row, a[0] / np.sqrt(2.0), rtol=0, atol=1e-12)
 
 
-def test_grw_process_hit_is_density_draw_and_apply():
-    # a hit of the process is hit_position_density, sample_hit_center and
-    # apply_hit on the rows at the hit time, drawing from the same stream
+def test_grw_process_hit_is_draw_and_apply():
+    # a hit of the process is sample_hit_center and apply_hit on the rows at
+    # the hit time, drawing four uniforms from the same stream: three for
+    # the center and one for the next wait
     rows = np.stack([gaussian_packet(GRID, x, 0.0, 1.0, 50.0).amps
                      for x in (-6.0, 6.0)]) / np.sqrt(2.0)
     evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows[None])
@@ -346,9 +418,11 @@ def test_grw_process_hit_is_density_draw_and_apply():
     rng = trajectory_rng(9, 0)
     t_hit = exponential_variate(rng, 4.0)
     before = flight(GRID, Potential.free(), 0.01, 50.0, rows[None]).at(t_hit)[0]
-    a = sample_hit_center(hit_position_density(before, GRID, 1.0), GRID, rng)
+    u = rng.random(4)
+    a = sample_hit_center(before, GRID, 1.0, u[:3])
     after, weight = apply_hit(before, GRID, a, 1.0)
     assert (first.t_next[0], t, hit.centers[0], hit.weights[0]) == (t_hit, t_hit, a, weight)
+    assert hit.t_next[0] == t_hit - np.log1p(-u[3]) / 4.0
     assert evolution.at(t)[0].tobytes() == after.tobytes()
 
 
@@ -362,19 +436,6 @@ def test_stream_tags_give_distinct_streams():
         trajectory_rng(5, 2, stream=-1)
 
 
-def test_cached_density_kernel_matches_fresh_computation():
-    psi = gaussian_packet(GRID, -3.0, 1.0, 2.0, 1.0)
-    r_c = 1.3
-    u = (GRID.dx * np.arange(GRID.n_points) + 0.5 * GRID.extent) % GRID.extent \
-        - 0.5 * GRID.extent
-    kernel = np.exp(-(u**2) / r_c**2) / np.sqrt(np.pi * r_c**2)
-    fresh = np.fft.irfft(np.fft.rfft(np.abs(psi.amps) ** 2) * np.fft.rfft(kernel),
-                         n=GRID.n_points)
-    fresh = np.maximum(fresh * GRID.dx, 0.0)
-    for _ in range(2):  # the second call reads the cache
-        assert hit_position_density(psi.amps, GRID, r_c).tobytes() == fresh.tobytes()
-
-
 def _hit_trajectory(index, t_total=5.0):
     psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 200.0)
     params = _params(4.0, 1.0)
@@ -386,13 +447,13 @@ def _hit_trajectory(index, t_total=5.0):
 def test_hit_times_are_exact_running_sums_of_waiting_times():
     rec, rate = _hit_trajectory(0)
     assert rec.n_hits() > 5
-    # the stream alternates one uniform per waiting time and one per center
+    # the stream holds the first wait, then four uniforms per hit: three
+    # for the center and the next wait
     replay = trajectory_rng(17, 0)
-    t, expected = 0.0, []
+    t, expected = -np.log1p(-replay.random()) / rate, []
     for _ in rec.events:
-        t += -np.log1p(-replay.random()) / rate
         expected.append(t)
-        replay.random()
+        t -= np.log1p(-replay.random(4)[3]) / rate
     assert [e.t for e in rec.events] == expected
     # unsnapped: hits do not sit on the step grid of dt = 0.004
     assert not any(float(e.t / 0.004).is_integer() for e in rec.events)

@@ -111,9 +111,36 @@ def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
     for name in ("visibility", "born"):
         worker, job, stream = WORKERS[name]
         sizes.clear()
-        worker(job, _rngs(range(5, 25), stream))
+        try:
+            worker(job, _rngs(range(5, 25), stream))
+        except DecisionTimeoutError:
+            # about 1 % of these trials never decide, at any budget: a hit
+            # between the pointers pulls both branch packets onto one
+            # another, and from then on every hit scales both alike.  Such
+            # a row runs until the budget ends the pass, after the rounds
+            # in which the other rows left.
+            assert name == "born"
         assert len(sizes) == 1
         assert any(a > b > 0 for s in sizes for a, b in zip(s, s[1:])), (name, sizes)
+
+
+def test_each_hit_draws_four_uniforms_from_its_rows_stream():
+    # a trajectory's stream holds its first wait, then three uniforms for
+    # each hit's center and one for the wait after it, alone and in a block
+    worker, job, stream = WORKERS["heating"]
+    block = range(5, 11)
+    rngs = _rngs(block, stream)
+    summed = worker(job, rngs)
+    lone = []
+    for i, rng in zip(block, rngs):
+        alone = _rngs([i], stream)
+        lone.append(worker(job, alone))
+        hits = lone[-1][2]
+        assert hits > 0
+        replay = trajectory_rng(3, i, stream)
+        replay.random(1 + 4 * hits)
+        assert rng.random() == alone[0].random() == replay.random()
+    assert _bytes(summed) == _bytes(total(lone))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
