@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .collapse import CollapseParams, grw_trajectory
 from .ensemble import resolve_threads
-from .errors import BoundsParseError, ConfigError, GrwError
+from .errors import BoundsParseError, ConfigError, DomainError, GrwError
 from .exclusion import (
     DEFAULT_LAMBDA_RANGE,
     DEFAULT_RC_RANGE,
@@ -43,6 +44,7 @@ from .experiments import (
     VisibilityConfig,
     born_ensemble,
     check_grid_n,
+    check_rc,
     decoherence_scan,
     heating_experiment,
     visibility_experiment,
@@ -266,7 +268,11 @@ def resolve(subcommand: str, raw: dict[str, str]) -> dict:
             values[key] = default.default
             for s in given:
                 value = _parse(f"{key}_{s}", float, raw[f"{key}_{s}"])
-                values[key] = default.converters[s](value)
+                try:
+                    values[key] = default.converters[s](value)
+                except DomainError:  # the rate conversions refuse a negative rate
+                    raise ConfigError(
+                        f"{key} must be >= 0 and finite, got {value:g}") from None
         elif key in raw:
             kind = default if isinstance(default, type) else type(default)
             values[key] = _parse(key, kind, raw[key])
@@ -280,9 +286,17 @@ def _config(cls, v: dict, **given):
     return cls(**{name: v[name] for name in _defaults(cls)}, **given)
 
 
-def _collapse_params(v: dict) -> CollapseParams:
-    extra = {k: v[k] for k in ("n_nucleons", "mass_scaling") if k in v}
-    return CollapseParams(v["lambda"], v["rc"], **extra)
+def _collapse_params(v: dict, **given) -> CollapseParams:
+    """CollapseParams from the resolved inputs v, fields in given taking the
+    place of v's.  A constant out of its domain is a ConfigError that names
+    its key."""
+    c = {k: v[k] for k in ("lambda", "rc", "n_nucleons", "mass_scaling") if k in v} | given
+    for key, domain, ok in (("lambda", ">= 0", 0.0 <= c["lambda"] < math.inf),
+                            ("rc", "> 0", 0.0 < c["rc"] < math.inf),
+                            ("n_nucleons", ">= 1", 1.0 <= c["n_nucleons"] < math.inf)):
+        if not ok:
+            raise ConfigError(f"{key} must be {domain} and finite, got {c[key]:g}")
+    return CollapseParams(c.pop("lambda"), c.pop("rc"), **c)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +322,7 @@ def _run_single(v: dict, params: CollapseParams, seed: int, outdir: Path,
         if not v[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {v[key]}")
     check_grid_n(v["grid_n"])
+    check_rc(v["grid_n"], v["grid_extent"], params, v["mass"])
     psi0, pot = _packet_and_potential(v)
     rec = grw_trajectory(
         psi0, pot, params, v["t_total"], v["dt_internal"], v["sample_every"],
@@ -349,7 +364,7 @@ def cmd_born(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     if not 0.0 <= p_up <= 1.0:
         raise ConfigError(f"c_up2 must be in [0, 1], got {p_up}")
     cfg = _config(MeasurementConfig, v, c_up=np.sqrt(p_up), c_down=np.sqrt(1.0 - p_up))
-    params = CollapseParams(v["lambda"], v["rc"], cfg.pointer_n_nucleons)
+    params = _collapse_params(v, n_nucleons=cfg.pointer_n_nucleons)
     report = born_ensemble(cfg, params, v["n_traj"], seed, threads)
     return _write_report(outdir, "counts.csv", report)
 
@@ -357,6 +372,9 @@ def cmd_born(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
 def cmd_decohere(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     params = _collapse_params(v)
     ratios = v["separations_over_rc"]
+    bad = [r for r in ratios if not 0.0 <= r < math.inf]
+    if bad:
+        raise ConfigError(f"separations_over_rc must be >= 0 and finite, got {bad[0]:g}")
     cfg = _config(DecoherenceConfig, v)
     separations = [r * params.r_c for r in ratios]
     reports = decoherence_scan(separations, params, v["n_traj"], cfg, seed, threads)
@@ -439,6 +457,9 @@ def cmd_exclusion(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
 
 
 def cmd_rates(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
+    for key in ("n", "lambda_si"):
+        if v[key] is not None and not v[key] >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {v[key]:g}")
     lam = v["lambda_si"]
     if v["n"] is not None and not v["table"]:
         print("%g" % amplified_rate(v["n"], lam))

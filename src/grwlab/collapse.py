@@ -94,14 +94,21 @@ class TrajectoryRecord:
         }
 
 
+def kernel_bounds(grid: Grid1D) -> tuple[float, float]:
+    """The r_c a hit takes on grid: from 2 dx, which resolves its Gaussian,
+    up to extent / 8, where its periodic images do not yet overlap."""
+    return 2.0 * grid.dx, grid.extent / 8.0
+
+
 def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
     if not (np.isfinite(r_c) and r_c > 0):
         raise DomainError(f"r_c must be > 0, got {r_c}")
-    if r_c < 2.0 * grid.dx:
+    low, high = kernel_bounds(grid)
+    if r_c < low:
         raise DomainError(
             f"r_c = {r_c} unresolved on grid with dx = {grid.dx} (need r_c >= 2 dx)"
         )
-    if r_c > grid.extent / 8.0:
+    if r_c > high:
         raise DomainError(
             f"r_c = {r_c} too large for grid extent {grid.extent} (periodic overlap)"
         )
@@ -216,13 +223,6 @@ def effective_reduction_rate(
     return total * -np.expm1(-(d**2) / (4.0 * params.r_c**2))
 
 
-def step_count(t_total: float, dt: float) -> int:
-    """Steps of size dt that cover t_total."""
-    if t_total <= 0 or dt <= 0:
-        raise DomainError("t_total and dt must be positive")
-    return int(round(t_total / dt))
-
-
 def sample_times(dt: float, n_steps: int, every: int) -> list[float]:
     """b * dt at every every-th step boundary b and at the last, n_steps."""
     return [b * dt for b in range(0, n_steps, every)] + [n_steps * dt]
@@ -301,7 +301,9 @@ def grw_trajectory(
     exact Poisson times; other potentials take Strang steps of dt, with hits
     on the nearest step boundary.
     """
-    n_steps = step_count(t_total, dt)
+    if t_total <= 0 or dt <= 0:
+        raise DomainError("t_total and dt must be positive")
+    n_steps = int(round(t_total / dt))
     if sample_every < 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every}")
     rate = params.total_rate_internal(psi0.mass)

@@ -184,14 +184,17 @@ def allowed_region(
     A cell is allowed iff its lambda lies below every interpolated upper
     bound and above every lower bound at its r_c.  A region is closed iff
     every boundary row and column of the raster is fully excluded.  Each
-    range must be finite and strictly increasing.
+    range must be finite and strictly increasing, and sampled at 1 point or more.
     """
-    for name, (lo, hi) in (("lambda", lambda_range_decades), ("rc", rc_range_decades)):
+    n_lambda, n_rc = resolution
+    for name, (lo, hi), n in (("lambda", lambda_range_decades, n_lambda),
+                              ("rc", rc_range_decades, n_rc)):
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ConfigError(
                 f"log10 {name} range must be finite and increasing, got [{lo}, {hi}]"
             )
-    n_lambda, n_rc = resolution
+        if n < 1:
+            raise ConfigError(f"n_{name} must be >= 1, got {n}")
     llam = np.linspace(*lambda_range_decades, n_lambda)
     lrc = np.linspace(*rc_range_decades, n_rc)
     has_upper = any(c.kind is BoundKind.UPPER for c in bounds)

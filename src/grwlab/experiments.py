@@ -17,8 +17,8 @@ from .collapse import (
     CollapseParams,
     effective_reduction_rate,
     grw_process,
+    kernel_bounds,
     sample_times,
-    step_count,
 )
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError
@@ -164,6 +164,17 @@ def _require_grid(cfg, *names: str) -> None:
     _require_positive(cfg, "grid_extent", *names)
 
 
+def check_rc(grid_n: int, grid_extent: float, params: CollapseParams, mass: float) -> None:
+    """r_c within collapse.kernel_bounds on the run's grid, unless the run
+    never hits: what every hit checks, checked once from the config."""
+    low, high = kernel_bounds(Grid1D.centered(grid_n, grid_extent))
+    if params.total_rate_internal(mass) > 0 and not low <= params.r_c <= high:
+        raise ConfigError(
+            f"rc must be in [{low:g}, {high:g}] on this grid (2 dx to grid_extent / 8), "
+            f"got {params.r_c:g}"
+        )
+
+
 @lru_cache(maxsize=1)
 def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
     """The spin (x) pointer state as rows (up, down) of one (2, N) array."""
@@ -221,6 +232,7 @@ def born_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> Report:
+    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.pointer_n_nucleons)
     [n_up] = map_trajectories(
         _born_worker, [((cfg, params), None, range(n_trajectories))], master_seed, threads,
         width=_pass_width(2 * cfg.grid_n),  # rows (up, down)
@@ -260,7 +272,7 @@ class DecoherenceConfig:
     mass: float = 1e6
     grid_n: int = 1024
     grid_extent: float = 32.0
-    hit_resolution: float = 0.05  # Lambda * dt
+    hit_resolution: float = 0.05  # Lambda * dt: sets only the sample grid
     n_efoldings: float = 2.0
     n_samples: int = 16
 
@@ -359,6 +371,7 @@ def decoherence_scan(
     All separations run in one process pool; separation j draws from stream
     tag j.
     """
+    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
     n = ensemble_size
     runs = [((cfg, params, float(d)), j, range(n)) for j, d in enumerate(separations)]
     scans = map_trajectories(_coherence_terms, runs, master_seed, threads,
@@ -534,6 +547,7 @@ def visibility_experiment(
     coherence between the two arms at separation exactly d.
     """
     _check_positive("t_flight", t_flight)
+    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
     if d < 12.0 * cfg.sigma0:
         raise ConfigError(
             f"arms are not well separated: d = {d:g} < 12 sigma0 = "
@@ -601,11 +615,10 @@ class HeatingConfig:
     mass: float = 1.0
     grid_n: int = 512
     grid_extent: float = 128.0
-    dt_internal: float = 0.025
-    sample_every: int = 10
+    n_samples: int = 20  # samples at t_total * s / n_samples, s = 0 .. n_samples
 
     def __post_init__(self):
-        _require_grid(self, "sigma0", "mass", "dt_internal", "sample_every")
+        _require_grid(self, "sigma0", "mass", "n_samples")
 
 
 @lru_cache(maxsize=1)
@@ -614,22 +627,15 @@ def _one_packet(cfg: HeatingConfig) -> _Start:
     return _Start.of(grid, gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
 
 
-def _heating_times(cfg: HeatingConfig, t_total: float) -> list[float]:
-    """Every sample_every steps of dt_internal, and t_total."""
-    dt = cfg.dt_internal
-    return sample_times(dt, step_count(t_total, dt), cfg.sample_every)
-
-
 def _heating_worker(job, rngs):
-    """The block's summed (energy, <p^2>, hit count) at _heating_times.
+    """The block's summed (energy, <p^2>, hit count) at the job's times.
 
     Free drift keeps |fft(psi)|^2, so <p^2> and the energy <p^2>/2m at a
     sample are those of the anchor then held, read once per anchor from its
     spectrum: the state is never rebuilt at a sample.
     """
-    cfg, params, t_total = job
+    cfg, params, times = job
     start = _one_packet(cfg)
-    times = np.array(_heating_times(cfg, t_total))
     rate = params.total_rate_internal(cfg.mass)
     evolution = start.flight(cfg.mass, len(rngs))
     p2 = np.empty((len(rngs), len(times)))
@@ -652,17 +658,18 @@ def heating_experiment(
 ) -> Report:
     """Linear fit of ensemble-mean energy and <p^2> growth vs time."""
     _check_positive("t_total", t_total)
+    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
     rate = params.total_rate_internal(cfg.mass)
     if rate * t_total < 5.0:
         raise ConfigError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
-    job = (cfg, params, t_total)
+    t = np.array(sample_times(t_total / cfg.n_samples, cfg.n_samples, 1))
+    job = (cfg, params, t)
     [(sum_e, sum_p2, hits)] = map_trajectories(
         _heating_worker, [(job, None, range(ensemble_size))], master_seed, threads,
         width=_pass_width(cfg.grid_n),
     )
-    t = np.array(_heating_times(cfg, t_total))
     energy = sum_e / ensemble_size
     p2 = sum_p2 / ensemble_size
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grwlab.cli import _columns, run, write_csv
+from grwlab.cli import _columns, config_keys, inputs, run, write_csv
 from grwlab.collapse import CollapseParams
 from grwlab.units import convert_rate_to_si
 
@@ -296,14 +296,16 @@ def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
     ["born", "--hits-budget", "0"],
     ["visibility", "--grid-extent", "-1", "--lambda-internal", "1", "--rc-internal", "4"],
     ["visibility", "--n-batches", "0", "--lambda-internal", "1", "--rc-internal", "4"],
-    ["heating", "--dt-internal", "0", "--lambda-internal", "4"],
-    ["heating", "--sample-every", "0", "--lambda-internal", "4"],
+    ["heating", "--n-samples", "0", "--lambda-internal", "4"],
+    ["heating", "--n-samples", "-1", "--lambda-internal", "4"],
 ])
-def test_nonpositive_config_values_are_exit_one(tmp_path, argv):
+def test_nonpositive_config_values_are_exit_one(tmp_path, capsys, argv):
     assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
+    key = argv[1].removeprefix("--").replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
 
 
-# (subcommand, key, value): grid and packet inputs that no run can use
+# (subcommand, key, value): grid, packet and collapse inputs that no run can use
 BAD_GRID_AND_PACKET = (
     [(cmd, key, value) for cmd in ("born", "heating", "decohere")
      for key, value in [("grid_n", "0"), ("grid_n", "1000"), ("grid_extent", "0")]]
@@ -315,18 +317,32 @@ BAD_GRID_AND_PACKET = (
     + [(cmd, key, value) for cmd in ("evolve", "trajectory") for key, value in
        [("grid_n", "0"), ("grid_n", "1000"), ("grid_extent", "0"), ("sigma0", "0"),
         ("mass", "0"), ("mass", "-1")]]
+    # an r_c the grid cannot hold (2 dx <= r_c <= extent / 8) follows from the
+    # config alone, so it is refused before any trajectory runs, even at the
+    # default lambda, where a run may end without a hit
+    + [("heating", "rc_internal", "0.1"), ("heating", "rc_internal", "20"),
+       ("visibility", "rc_internal", "0.01"), ("trajectory", "rc_internal", "0.01"),
+       ("born", "rc_internal", "0.01"), ("decohere", "rc_internal", "0.01")]
+    + [("decohere", "separations_over_rc", "-1"),
+       ("heating", "lambda_si", "-1"), ("heating", "lambda_internal", "-1"),
+       ("heating", "rc_internal", "-1"), ("heating", "rc_m", "-1"),
+       ("heating", "n_nucleons", "0"), ("born", "lambda_internal", "-1"),
+       ("rates", "n", "-1"), ("rates", "lambda_si", "-1"),
+       ("exclusion", "n_lambda", "0"), ("exclusion", "n_rc", "-1")]
 )
 
 
 @pytest.mark.parametrize("cmd, key, value", BAD_GRID_AND_PACKET,
                          ids=[f"{c}-{k}-{v}" for c, k, v in BAD_GRID_AND_PACKET])
 def test_bad_grid_and_packet_inputs_are_exit_one(tmp_path, capsys, cmd, key, value):
-    # refused as a config error naming the key, not blamed on a trajectory
+    # refused as a config error naming the key, not blamed on a trajectory;
+    # a quantity given in one of its units is named without the unit
     argv = [cmd, f"--{key.replace('_', '-')}", value, "--out", str(tmp_path)]
-    if cmd not in ("evolve", "trajectory"):
+    if "n_traj" in config_keys(cmd):
         argv += ["--n-traj", "2"]
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    name = key if key in inputs(cmd) else key.rsplit("_", 1)[0]
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,7 +451,7 @@ CLI_SURFACE = {
     "heating": [
         "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
         "t_total_internal", "t_total_s", "n_traj", "sigma0", "mass", "grid_n",
-        "grid_extent", "dt_internal", "sample_every",
+        "grid_extent", "n_samples",
     ],
     "exclusion": [
         "bounds", "log_lambda_min", "log_lambda_max", "log_rc_min",

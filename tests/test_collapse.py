@@ -10,6 +10,7 @@ from grwlab.collapse import (
     effective_reduction_rate,
     grw_process,
     grw_trajectory,
+    kernel_bounds,
     localization_amplitude,
     sample_hit_center,
 )
@@ -142,8 +143,14 @@ def test_hit_density_normalized():
 
 
 def test_kernel_resolution_guards():
+    # a hit takes 2 dx <= r_c <= extent / 8 (kernel_bounds), both edges included
     psi = gaussian_packet(GRID, 0.0, 0.0, 1.0, 1.0)
-    for r_c in (0.1, 10.0):  # < 2 dx, > extent / 8
+    low, high = kernel_bounds(GRID)
+    assert (low, high) == (2 * GRID.dx, GRID.extent / 8)
+    for r_c in (low, high):
+        sample_hit_center(psi.amps, GRID, r_c, [0.5, 0.5, 0.5])
+        apply_hit(psi.amps, GRID, 0.0, r_c)
+    for r_c in (0.1, np.nextafter(low, 0.0), np.nextafter(high, np.inf), 10.0):
         with pytest.raises(DomainError, match=f"r_c = {r_c}"):
             sample_hit_center(psi.amps, GRID, r_c, [0.5, 0.5, 0.5])
         with pytest.raises(DomainError, match=f"r_c = {r_c}"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grwlab import experiments
-from grwlab.collapse import CollapseParams, grw_process, grw_trajectory
+from grwlab.collapse import CollapseParams, grw_process, grw_trajectory, sample_times
 from grwlab.errors import ConfigError, DecisionTimeoutError
 from grwlab.experiments import (
     DecoherenceConfig,
@@ -16,6 +16,7 @@ from grwlab.experiments import (
     born_ensemble,
     _heating_worker,
     born_trials,
+    check_rc,
     decoherence_scan,
     fringe_contrast,
     heating_experiment,
@@ -196,6 +197,23 @@ def test_heating_needs_enough_hits():
         heating_experiment(_params(0.1, 1.0), 1.0, 4, cfg, 0)
 
 
+def test_heating_samples_equal_intervals_of_t_total():
+    res = heating_experiment(_params(4.0, 1.0), 3.0, 2, HeatingConfig(n_samples=6), 0)
+    assert list(res.table[1][0]) == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    with pytest.raises(ConfigError, match="n_samples must be > 0"):
+        HeatingConfig(n_samples=0)
+
+
+def test_rc_is_checked_against_the_grid_for_runs_that_hit():
+    # 512 points over 128: 2 dx = 0.5 <= r_c <= extent / 8 = 16
+    for r_c in (0.5, 16.0):
+        check_rc(512, 128.0, _params(4.0, r_c), 1.0)
+    for r_c in (0.49, 16.5):
+        with pytest.raises(ConfigError, match=r"^rc must be in \[0.5, 16\]"):
+            check_rc(512, 128.0, _params(4.0, r_c), 1.0)
+        check_rc(512, 128.0, _params(0.0, r_c), 1.0)  # never hits
+
+
 def test_heating_small_ensemble_sane():
     cfg = HeatingConfig()
     res = heating_experiment(_params(4.0, 1.0), 5.0, 200, cfg, master_seed=6,
@@ -212,12 +230,13 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    energy, p2, hits = _heating_worker((cfg, params, t_total), [trajectory_rng(3, 0)])
-    t = experiments._heating_times(cfg, t_total)
+    dt = t_total / cfg.n_samples
+    t = sample_times(dt, cfg.n_samples, 1)
+    energy, p2, hits = _heating_worker((cfg, params, np.array(t)), [trajectory_rng(3, 0)])
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
-    rec = grw_trajectory(psi0, Potential.free(), params, t_total, cfg.dt_internal,
-                         cfg.sample_every, trajectory_rng(3, 0))
+    rec = grw_trajectory(psi0, Potential.free(), params, t_total, dt, 1,
+                         trajectory_rng(3, 0))
     assert hits == rec.n_hits() >= 10
     assert list(t) == rec.sample_times
     obs = rec.observables_at_samples

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grwlab import experiments
-from grwlab.collapse import CollapseParams
+from grwlab.collapse import CollapseParams, sample_times
 from grwlab.ensemble import total
 from grwlab.errors import DecisionTimeoutError, DomainError
 from grwlab.experiments import (
@@ -42,7 +42,8 @@ WORKERS = {
                  (DecoherenceConfig(n_samples=6), _params(2.0, 1.0), 2.0), 1),
     "visibility": (experiments._screen_worker,
                    (_VISIBILITY, _params(1.0, 4.0), 64.0, 1.0), 0),
-    "heating": (experiments._heating_worker, (HeatingConfig(), _params(4.0, 1.0), 1.5), 0),
+    "heating": (experiments._heating_worker,
+                (HeatingConfig(), _params(4.0, 1.0), np.array(sample_times(1.5 / 20, 20, 1))), 0),
 }
 # the points of each one's widest array per trajectory, which set its width:
 # born's (up, down) rows, decohere's and heating's one row, visibility's screen
@@ -163,8 +164,10 @@ def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     assert str(info.value) == f"trajectory {i} of seed 1: {alone.value}"
 
 
-def test_pass_failure_names_its_stream():
-    # r_c > extent / 8 fails every row's first hit; separation j is stream j
+def test_pass_failure_names_its_stream(monkeypatch):
+    # r_c > extent / 8 fails every row's first hit in the hit's own guard, the
+    # backstop of the config check switched off here; separation j is stream j
+    monkeypatch.setattr(experiments, "check_rc", lambda *args: None)
     cfg = DecoherenceConfig(grid_n=512, n_samples=4)
     with pytest.raises(DomainError) as info:
         decoherence_scan([2.0, 10.0], _params(2.0, 5.0), 6, cfg, master_seed=3)
