@@ -286,17 +286,19 @@ def _config(cls, v: dict, **given):
     return cls(**{name: v[name] for name in _defaults(cls)}, **given)
 
 
+_COLLAPSE_KEYS = {"lambda_si": "lambda", "r_c": "rc"}  # CollapseParams field -> key
+
+
 def _collapse_params(v: dict, **given) -> CollapseParams:
     """CollapseParams from the resolved inputs v, fields in given taking the
     place of v's.  A constant out of its domain is a ConfigError that names
     its key."""
     c = {k: v[k] for k in ("lambda", "rc", "n_nucleons", "mass_scaling") if k in v} | given
-    for key, domain, ok in (("lambda", ">= 0", 0.0 <= c["lambda"] < math.inf),
-                            ("rc", "> 0", 0.0 < c["rc"] < math.inf),
-                            ("n_nucleons", ">= 1", 1.0 <= c["n_nucleons"] < math.inf)):
-        if not ok:
-            raise ConfigError(f"{key} must be {domain} and finite, got {c[key]:g}")
-    return CollapseParams(c.pop("lambda"), c.pop("rc"), **c)
+    try:
+        return CollapseParams(c.pop("lambda"), c.pop("rc"), **c)
+    except DomainError as e:  # "<field> must be ...": name the field's key
+        field, rest = str(e).split(" ", 1)
+        raise ConfigError(f"{_COLLAPSE_KEYS.get(field, field)} {rest}") from None
 
 
 # ---------------------------------------------------------------------------

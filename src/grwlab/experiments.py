@@ -615,10 +615,12 @@ class HeatingConfig:
     mass: float = 1.0
     grid_n: int = 512
     grid_extent: float = 128.0
-    n_samples: int = 20  # samples at t_total * s / n_samples, s = 0 .. n_samples
 
     def __post_init__(self):
-        _require_grid(self, "sigma0", "mass", "n_samples")
+        _require_grid(self, "sigma0", "mass")
+
+
+HEATING_SAMPLES = 20  # heating samples at t_total * s / HEATING_SAMPLES, s = 0 .. 20
 
 
 @lru_cache(maxsize=1)
@@ -664,7 +666,7 @@ def heating_experiment(
         raise ConfigError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
-    t = np.array(sample_times(t_total / cfg.n_samples, cfg.n_samples, 1))
+    t = np.array(sample_times(t_total / HEATING_SAMPLES, HEATING_SAMPLES, 1))
     job = (cfg, params, t)
     [(sum_e, sum_p2, hits)] = map_trajectories(
         _heating_worker, [(job, None, range(ensemble_size))], master_seed, threads,

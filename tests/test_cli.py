@@ -296,8 +296,8 @@ def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
     ["born", "--hits-budget", "0"],
     ["visibility", "--grid-extent", "-1", "--lambda-internal", "1", "--rc-internal", "4"],
     ["visibility", "--n-batches", "0", "--lambda-internal", "1", "--rc-internal", "4"],
-    ["heating", "--n-samples", "0", "--lambda-internal", "4"],
-    ["heating", "--n-samples", "-1", "--lambda-internal", "4"],
+    ["heating", "--sigma0", "-1", "--lambda-internal", "4"],
+    ["heating", "--mass", "-1", "--lambda-internal", "4"],
 ])
 def test_nonpositive_config_values_are_exit_one(tmp_path, capsys, argv):
     assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
@@ -451,7 +451,7 @@ CLI_SURFACE = {
     "heating": [
         "lambda_si", "lambda_internal", "rc_internal", "rc_m", "n_nucleons",
         "t_total_internal", "t_total_s", "n_traj", "sigma0", "mass", "grid_n",
-        "grid_extent", "n_samples",
+        "grid_extent",
     ],
     "exclusion": [
         "bounds", "log_lambda_min", "log_lambda_max", "log_rc_min",

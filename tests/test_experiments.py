@@ -9,6 +9,7 @@ from grwlab import experiments
 from grwlab.collapse import CollapseParams, grw_process, grw_trajectory, sample_times
 from grwlab.errors import ConfigError, DecisionTimeoutError
 from grwlab.experiments import (
+    HEATING_SAMPLES,
     DecoherenceConfig,
     HeatingConfig,
     MeasurementConfig,
@@ -198,10 +199,13 @@ def test_heating_needs_enough_hits():
 
 
 def test_heating_samples_equal_intervals_of_t_total():
-    res = heating_experiment(_params(4.0, 1.0), 3.0, 2, HeatingConfig(n_samples=6), 0)
-    assert list(res.table[1][0]) == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    with pytest.raises(ConfigError, match="n_samples must be > 0"):
-        HeatingConfig(n_samples=0)
+    # HEATING_SAMPLES = 20 intervals; at t_total = 5 they have the bits of
+    # every 10th step of 0.025, the grid heating sampled on before
+    for t_total in (3.0, 5.0):
+        t = heating_experiment(_params(4.0, 1.0), t_total, 2, HeatingConfig(), 0).table[1][0]
+        assert len(t) == HEATING_SAMPLES + 1 and t[0] == 0.0 and t[-1] == t_total
+        np.testing.assert_allclose(np.diff(t), t_total / HEATING_SAMPLES, rtol=1e-12)
+    assert list(t) == [b * 0.025 for b in range(0, 201, 10)]
 
 
 def test_rc_is_checked_against_the_grid_for_runs_that_hit():
@@ -230,8 +234,8 @@ def test_heating_samples_from_anchor_spectrum_match_observables():
     # heating reads <p^2> and the energy from the anchor's spectrum; the
     # full x-space observables of the same trajectory must agree
     cfg, params, t_total = HeatingConfig(), _params(4.0, 1.0), 5.0
-    dt = t_total / cfg.n_samples
-    t = sample_times(dt, cfg.n_samples, 1)
+    dt = t_total / HEATING_SAMPLES
+    t = sample_times(dt, HEATING_SAMPLES, 1)
     energy, p2, hits = _heating_worker((cfg, params, np.array(t)), [trajectory_rng(3, 0)])
     psi0 = gaussian_packet(Grid1D.centered(cfg.grid_n, cfg.grid_extent), 0.0, 0.0,
                            cfg.sigma0, cfg.mass)
