@@ -47,10 +47,11 @@ from .experiments import (
     check_rc,
     decoherence_scan,
     heating_experiment,
+    packet_in_box,
     visibility_experiment,
 )
 from .propagator import Potential
-from .qstate import Grid1D, gaussian_packet, observables
+from .qstate import Grid1D, observables
 from .rates import amplified_rate
 from .rngstream import trajectory_rng
 from .snapshot import read_snapshot, write_snapshot
@@ -63,14 +64,13 @@ OBS_COLUMNS = ("norm2", "mean_x", "var_x", "mean_p", "var_p", "mean_p2", "energy
 # CSV / JSON output helpers
 # ---------------------------------------------------------------------------
 
-def _cell(v) -> str:
-    if type(v) is float:  # the common case first; see _columns
-        return format(v, ".17g")
+def _cell_format(v) -> str:
+    """A cell's %-format: floats with 17 significant digits, bools as 1/0."""
     if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
+        return "%d"
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+        return "%.17g"
+    return "%s"
 
 
 def _columns(*arrays) -> zip:
@@ -79,9 +79,18 @@ def _columns(*arrays) -> zip:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row, formatted by one % of the line format that its
+    cells' types give; each distinct row of types builds its format once."""
+    formats = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        for row in rows:
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            line = formats.get(kinds)
+            if line is None:
+                line = formats[kinds] = ",".join(map(_cell_format, row)) + "\n"
+            fh.write(line % row)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -307,7 +316,7 @@ def _collapse_params(v: dict, **given) -> CollapseParams:
 
 def _packet_and_potential(v: dict):
     grid = Grid1D.centered(v["grid_n"], v["grid_extent"])
-    psi0 = gaussian_packet(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
+    psi0 = packet_in_box(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
     kind = v["potential"]
     if kind == "free":
         pot = Potential.free()

@@ -21,7 +21,7 @@ from .collapse import (
     sample_times,
 )
 from .ensemble import block_ranges, map_trajectories, total
-from .errors import ConfigError, DecisionTimeoutError, StatisticsError
+from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
 from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
@@ -59,7 +59,7 @@ class Report(dict):
 # A block of an ensemble is one pass of collapse.grw_process, as wide as
 # this many points of its trajectories' widest arrays allow: 8 trials of
 # born's (2, 1024) rows, 32 of heating's (1, 512), 16 of decohere's (1, 1024)
-# and 2 of visibility's 8192-point screens.  Twice or four times as many
+# and 8 of visibility's 2N = 2048-point screens.  Twice or four times as many
 # points make every pass's temporaries large enough to be mapped afresh from
 # the system: born then took 50,000-60,000 page faults a run instead of 18.
 PASS_POINTS = 2**14
@@ -152,9 +152,16 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be > 0, got {value}")
 
 
+def _require_counts(cfg, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not (isinstance(value, int) and value >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+
+
 def check_grid_n(n: int) -> None:
     """grid_n must be a power of two, as Grid1D's points are."""
-    if not (n > 0 and n & (n - 1) == 0):
+    if not (isinstance(n, int) and n > 0 and n & (n - 1) == 0):
         raise ConfigError(f"grid_n must be a positive power of two, got {n}")
 
 
@@ -173,6 +180,17 @@ def check_rc(grid_n: int, grid_extent: float, params: CollapseParams, mass: floa
             f"rc must be in [{low:g}, {high:g}] on this grid (2 dx to grid_extent / 8), "
             f"got {params.r_c:g}"
         )
+
+
+def packet_in_box(grid: Grid1D, x0: float, p0: float, sigma0: float, mass: float):
+    """gaussian_packet, whose 6-sigma support must fit the box: a packet that
+    does not is a ConfigError that names sigma0 if no center would hold it,
+    else x0."""
+    try:
+        return gaussian_packet(grid, x0, p0, sigma0, mass)
+    except DomainError as e:
+        key = "sigma0" if not 12.0 * sigma0 <= grid.extent else "x0"
+        raise ConfigError(f"{key} must keep the packet inside the box: {e}") from None
 
 
 @lru_cache(maxsize=1)
@@ -277,8 +295,8 @@ class DecoherenceConfig:
     n_samples: int = 16
 
     def __post_init__(self):
-        _require_grid(self, "packet_sigma_over_rc", "mass", "hit_resolution",
-                      "n_efoldings", "n_samples")
+        _require_grid(self, "packet_sigma_over_rc", "mass", "hit_resolution", "n_efoldings")
+        _require_counts(self, "n_samples")
 
 
 def _decoherence_grid(cfg: DecoherenceConfig, params, d) -> list[float]:
@@ -448,9 +466,8 @@ class VisibilityConfig:
     n_fringes: int = 5
 
     def __post_init__(self):
-        _require_grid(self, "sigma0", "mass", "n_batches")
-        if not (isinstance(self.n_fringes, int) and self.n_fringes >= 1):
-            raise ConfigError(f"n_fringes must be an integer >= 1, got {self.n_fringes}")
+        _require_grid(self, "sigma0", "mass")
+        _require_counts(self, "n_batches", "n_fringes")
 
 
 # Zero-padding the screen's transform SCREEN_PAD-fold samples it on a p grid that
@@ -459,14 +476,37 @@ SCREEN_PAD = 8
 
 
 def momentum_screen(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Far-field intensity |psi(p)|^2 on screen_axis(grid), one row per
-    state in amps (N,) or (W, N)."""
-    phi = np.fft.fftshift(np.fft.fft(amps, n=grid.n_points * SCREEN_PAD), axes=-1)
+    """|fft(psi, 2N)|^2 dx^2 / 2 pi, unshifted, one row of 2N reals per state
+    in amps (N,) or (W, N).
+
+    It is the transform of psi's autocorrelation, whose 2N - 1 lags it holds
+    without aliasing, so it fixes the far-field intensity at any finer p
+    spacing: padded_screen gives it on screen_axis(grid).
+    """
+    phi = np.fft.fft(amps, n=2 * grid.n_points)
     return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
 
 
+def padded_screen(screen: np.ndarray) -> np.ndarray:
+    """Far-field intensity |psi(p)|^2 on screen_axis, from a momentum_screen
+    (2N,) or a stack (B, 2N) of them, or a sum of them.
+
+    Lags 0 .. N-1 and -(N-1) .. -1 of the inverse transform go into a
+    zero-padded SCREEN_PAD * N array, without lag N, which holds only
+    rounding; one transform of that is the screen.  Where the intensity is
+    below about 1e-16 of its peak it is rounding noise of either sign, and
+    an intensity is not negative, so it is clipped at 0.
+    """
+    n = screen.shape[-1] // 2
+    lags = np.fft.ifft(screen)
+    padded = np.zeros((*screen.shape[:-1], SCREEN_PAD * n), dtype=np.complex128)
+    padded[..., :n] = lags[..., :n]
+    padded[..., SCREEN_PAD * n - n + 1:] = lags[..., n + 1:]
+    return np.fft.fftshift(np.maximum(np.fft.fft(padded).real, 0.0), axes=-1)
+
+
 def screen_axis(grid: Grid1D) -> np.ndarray:
-    """The p axis of momentum_screen, in ascending order."""
+    """The p axis of padded_screen, in ascending order."""
     return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(SCREEN_PAD * grid.n_points, grid.dx))
 
 
@@ -479,7 +519,7 @@ def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
 
 @lru_cache(maxsize=1)
 def _unhit_screen(cfg: VisibilityConfig, d: float, t_flight: float) -> np.ndarray:
-    """The far-field screen of every trajectory without a hit, which is
+    """The momentum_screen of every trajectory without a hit, which is
     also the no-collapse control: the arms drifted to t_flight."""
     start = _two_arms(cfg, d)
     arms = start.flight(cfg.mass, 1).at(t_flight)
@@ -487,7 +527,7 @@ def _unhit_screen(cfg: VisibilityConfig, d: float, t_flight: float) -> np.ndarra
 
 
 def _screen_worker(job, rngs) -> np.ndarray:
-    """The block's summed far-field screens, each read from one drift of
+    """The block's summed momentum_screens, each read from one drift of
     its trajectory's last anchor to t_flight; a trajectory without a hit
     adds _unhit_screen."""
     cfg, params, d, t_flight = job
@@ -566,14 +606,15 @@ def visibility_experiment(
             "points per fringe (need >= 8)"
         )
 
-    ideal = _unhit_screen(cfg, d, t_flight)  # the no-collapse control
+    ideal = padded_screen(_unhit_screen(cfg, d, t_flight))  # the no-collapse control
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
     # the batch-means batches are the ensemble's runs: one summed screen each
     job = (cfg, params, d, t_flight)
     batches = block_ranges(ensemble_size, cfg.n_batches)
-    sums = map_trajectories(_screen_worker, [(job, None, b) for b in batches],
-                            master_seed, threads, width=_pass_width(SCREEN_PAD * cfg.grid_n))
+    sums = [padded_screen(s) for s in map_trajectories(
+        _screen_worker, [(job, None, b) for b in batches], master_seed, threads,
+        width=_pass_width(2 * cfg.grid_n))]  # 2N-point screens
     mean_intensity = total(sums) / ensemble_size
     v_measured = fringe_contrast(mean_intensity, p_axis, fringe_spacing, cfg.n_fringes)
 
@@ -626,7 +667,7 @@ HEATING_SAMPLES = 20  # heating samples at t_total * s / HEATING_SAMPLES, s = 0 
 @lru_cache(maxsize=1)
 def _one_packet(cfg: HeatingConfig) -> _Start:
     grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    return _Start.of(grid, gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
+    return _Start.of(grid, packet_in_box(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
 
 
 def _heating_worker(job, rngs):
@@ -666,6 +707,7 @@ def heating_experiment(
         raise ConfigError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
+    _one_packet(cfg)  # refuses a packet that overflows the box; built before any pool forks
     t = np.array(sample_times(t_total / HEATING_SAMPLES, HEATING_SAMPLES, 1))
     job = (cfg, params, t)
     [(sum_e, sum_p2, hits)] = map_trajectories(

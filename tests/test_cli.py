@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,14 +110,20 @@ def test_mixed_units_rejected(tmp_path):
     assert code == 1
 
 
-def test_bad_physics_config_is_exit_two(tmp_path):
-    # the sigma0 = 2 packet overflows the 16-wide box at runtime
+@pytest.mark.parametrize("argv, key", [
+    # the sigma0 = 2 packet cannot fit the 16-wide box anywhere
     # (x0 - 6 sigma = -12 < x_min = -8)
-    code = run([
-        "evolve", "--out", str(tmp_path / "x"), "--grid-n", "2048",
-        "--grid-extent", "16", "--dt-internal", "0.05",
-    ])
-    assert code == 2
+    (["evolve", "--grid-n", "2048", "--grid-extent", "16", "--dt-internal", "0.05"],
+     "sigma0"),
+    (["heating", "--lambda-internal", "4", "--sigma0", "40", "--n-traj", "2"], "sigma0"),
+    # x0 + 6 sigma = 42 > x_max = 32
+    (["evolve", "--x0", "30"], "x0"),
+], ids=["evolve-sigma0", "heating-sigma0", "evolve-x0"])
+def test_a_packet_that_cannot_fit_its_box_is_exit_one(tmp_path, capsys, argv, key):
+    # the config alone decides it, so it fails before any trajectory runs
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {key} must keep the packet inside the box: packet support overflows")
 
 
 WRAPS = "the state wraps the periodic box"
@@ -211,6 +218,29 @@ def test_csv_cells_are_pinned(tmp_path):
         b"0,-7,x y,1e-300,-1.5e+20,1\n"
         b"0.10000000000000001,2,1,1e+22,1,a\n"
         b"0.33333333333333331,-0,2,4.9406564584124654e-324,0,b\n"
+    )
+
+
+def test_csv_bytes_of_every_cell_type(tmp_path):
+    # the bytes of each cell type and of the float edge cases, as the writer
+    # that formatted one cell per call wrote them
+    path = tmp_path / "cells.csv"
+    rows = [
+        (0.1, np.float64(2 / 3), 42, True, np.bool_(False), "up"),
+        (-0.0, 0.0, -7, False, np.bool_(True), "x y"),
+        (math.inf, -math.inf, math.nan, 5e-324, 1e17, np.float64(-5e-324)),
+        (np.float64(math.nan), np.float64(-0.0), np.float64(math.inf), 1e16, -1e17,
+         123456789.0),
+        ("s", True, 3, np.float32(0.1), np.int64(-2), 1.7976931348623157e308),
+    ]
+    write_csv(path, ["a", "b", "c", "d", "e", "f"], rows)
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f\n"
+        b"0.10000000000000001,0.66666666666666663,42,1,0,up\n"
+        b"-0,0,-7,0,1,x y\n"
+        b"inf,-inf,nan,4.9406564584124654e-324,1e+17,-4.9406564584124654e-324\n"
+        b"nan,-0,inf,10000000000000000,-1e+17,123456789\n"
+        b"s,1,3,0.10000000149011612,-2,1.7976931348623157e+308\n"
     )
 
 

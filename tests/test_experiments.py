@@ -22,6 +22,7 @@ from grwlab.experiments import (
     fringe_contrast,
     heating_experiment,
     momentum_screen,
+    padded_screen,
     screen_axis,
     visibility_experiment,
 )
@@ -124,7 +125,7 @@ def test_momentum_screen_of_two_packets_has_fringes():
         gaussian_packet(grid, +d / 2, 0.0, 1.0, 1e6),
         1.0, 1.0,
     )
-    p, intensity = screen_axis(grid), momentum_screen(psi.amps, grid)
+    p, intensity = screen_axis(grid), padded_screen(momentum_screen(psi.amps, grid))
     assert fringe_contrast(intensity, p, 2 * np.pi / d, 5.0) == pytest.approx(
         1.0, abs=0.02
     )
@@ -158,15 +159,77 @@ def test_visibility_fringe_count_is_a_whole_positive_number(n_fringes):
         VisibilityConfig(n_fringes=n_fringes)
 
 
+@pytest.mark.parametrize("config, key", [
+    (VisibilityConfig, "n_batches"),
+    (DecoherenceConfig, "n_samples"),
+    (VisibilityConfig, "grid_n"),
+])
+def test_counts_must_be_whole_numbers(config, key):
+    # a fractional count would fail later inside range(); the config names it
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        config(**{key: 2.5})
+
+
 def test_unhit_screen_is_the_screen_a_pass_reads_for_an_unhit_row():
-    # the cached screen stands for every row that leaves a pass unhit
+    # the cached 2N-point screen stands for every row that leaves a pass
+    # unhit, and a block of unhit rows sums it once per row
     cfg, d, t_flight = VisibilityConfig(), 64.0, 1.0
     start = experiments._two_arms(cfg, d)
     evolution = start.flight(cfg.mass, 5)
     amps = evolution.at(t_flight, np.array([True, False, True, True, False]))
     unhit = experiments._unhit_screen(cfg, d, t_flight)
+    assert unhit.shape == (2 * cfg.grid_n,)
     for screen in momentum_screen(amps[:, 0], start.grid):
         assert screen.tobytes() == unhit.tobytes()
+    job = (cfg, CollapseParams(0.0, 4.0), d, t_flight)
+    block = experiments._screen_worker(job, [trajectory_rng(3, i) for i in range(4)])
+    assert block.tobytes() == (unhit + unhit + unhit + unhit).tobytes()
+
+
+def _direct_screen(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The far-field screen from one zero-padded 8N-point transform per row."""
+    phi = np.fft.fftshift(np.fft.fft(amps, n=8 * grid.n_points), axes=-1)
+    return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
+
+
+def _hit_arms():
+    """Rows of visibility's two-arm state at t_flight after one pass of hits."""
+    cfg, d, t_flight = VisibilityConfig(grid_n=512), 64.0, 1.0
+    start = experiments._two_arms(cfg, d)
+    rngs = [trajectory_rng(1, i) for i in range(6)]
+    evolution = start.flight(cfg.mass, len(rngs))
+    rate = _params(4.0, 4.0).total_rate_internal(cfg.mass)
+    for _ in grw_process(evolution, rate, 4.0, t_flight, rngs):
+        pass
+    return evolution.at(t_flight)[:, 0], start.grid
+
+
+def _random_rows(n: int):
+    rng = np.random.default_rng(n)
+    return rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)), Grid1D.centered(n, 64.0)
+
+
+@pytest.mark.parametrize("state", ["unhit", "hit", "random-512", "random-1024"])
+def test_padded_screen_is_the_direct_8n_point_screen(state):
+    # the 2N-point screen fixes the 8N-point one; they differ by FFT rounding
+    # over about 13 radix levels, far below 1e-14 of the peak
+    if state == "unhit":
+        cfg = VisibilityConfig()
+        start = experiments._two_arms(cfg, 64.0)
+        amps, grid = start.flight(cfg.mass, 1).at(1.0)[:, 0], start.grid
+    elif state == "hit":
+        amps, grid = _hit_arms()
+        assert not np.allclose(amps[0], amps[1])
+    else:
+        amps, grid = _random_rows(int(state.split("-")[1]))
+    direct = _direct_screen(amps, grid)
+    screen = padded_screen(momentum_screen(amps, grid))
+    assert screen.shape == direct.shape == (len(amps), 8 * grid.n_points)
+    assert np.all(screen >= 0.0)
+    for row, ref in zip(screen, direct):
+        assert np.max(np.abs(row - ref)) <= 1e-14 * ref.max()
+    summed = padded_screen(momentum_screen(amps, grid).sum(axis=0))
+    assert np.max(np.abs(summed - direct.sum(axis=0))) <= 1e-14 * direct.sum(axis=0).max()
 
 
 def test_visibility_zero_rate_control():

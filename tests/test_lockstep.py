@@ -46,8 +46,9 @@ WORKERS = {
                 (HeatingConfig(), _params(4.0, 1.0), np.array(sample_times(1.5 / 20, 20, 1))), 0),
 }
 # the points of each one's widest array per trajectory, which set its width:
-# born's (up, down) rows, decohere's and heating's one row, visibility's screen
-POINTS = {"born": 2 * 1024, "decohere": 1024, "visibility": 8 * 512, "heating": 512}
+# born's (up, down) rows, decohere's and heating's one row, visibility's
+# 2N-point screen
+POINTS = {"born": 2 * 1024, "decohere": 1024, "visibility": 2 * 512, "heating": 512}
 
 
 def _rngs(indices, stream, seed=3):
@@ -66,13 +67,13 @@ def _bytes(result):
 @pytest.mark.parametrize("name", list(WORKERS))
 def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
     # a block is one pass, as wide as the pass budget allows: by default 8
-    # born trials, 16 decohere rows, 4 visibility screens and 32 heating
+    # born trials, 16 decohere rows, 16 visibility screens and 32 heating
     # rows; a budget of 1024 points leaves 2 heating rows and one of the others
     if points:
         monkeypatch.setattr(experiments, "PASS_POINTS", points)
     width = experiments._pass_width(POINTS[name])
     if not points:
-        assert width == {"born": 8, "decohere": 16, "visibility": 4, "heating": 32}[name]
+        assert width == {"born": 8, "decohere": 16, "visibility": 16, "heating": 32}[name]
     worker, job, stream = WORKERS[name]
     block = range(5, 5 + width)
     lone = [worker(job, _rngs([i], stream)) for i in block]
@@ -91,9 +92,9 @@ def test_every_ensemble_takes_blocks_of_one_full_pass(monkeypatch):
     decoherence_scan([2.0], _params(2.0, 1.0), 2, DecoherenceConfig(n_samples=6), 3)
     visibility_experiment(64.0, _params(1.0, 4.0), 1.0, 2, VisibilityConfig(), 3)
     heating_experiment(_params(4.0, 1.0), 1.5, 2, HeatingConfig(), 3)
-    # the benchmark's grids: born and decohere N = 1024, visibility's 8x
-    # padded screen of N = 1024, heating N = 512
-    assert widths == [8, 16, 2, 32]
+    # the benchmark's grids: born and decohere N = 1024, visibility's 2N
+    # screen of N = 1024, heating N = 512
+    assert widths == [8, 16, 8, 32]
 
 
 def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
