@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -28,7 +27,7 @@ import numpy as np
 from . import __version__
 from .collapse import CollapseParams, grw_trajectory
 from .ensemble import resolve_threads
-from .errors import BoundsParseError, ConfigError, DomainError, GrwError
+from .errors import BoundsParseError, ConfigError, GrwError, as_config_error
 from .exclusion import (
     DEFAULT_LAMBDA_RANGE,
     DEFAULT_RC_RANGE,
@@ -43,15 +42,13 @@ from .experiments import (
     MeasurementConfig,
     VisibilityConfig,
     born_ensemble,
-    check_grid_n,
-    check_rc,
     decoherence_scan,
     heating_experiment,
-    packet_in_box,
+    require_positive,
     visibility_experiment,
 )
-from .propagator import Potential
-from .qstate import Grid1D, observables
+from .propagator import Potential, Stepper
+from .qstate import Grid1D, gaussian_packet, observables
 from .rates import amplified_rate
 from .rngstream import trajectory_rng
 from .snapshot import read_snapshot, write_snapshot
@@ -277,11 +274,8 @@ def resolve(subcommand: str, raw: dict[str, str]) -> dict:
             values[key] = default.default
             for s in given:
                 value = _parse(f"{key}_{s}", float, raw[f"{key}_{s}"])
-                try:
+                with as_config_error(rate=key):  # the rate conversions refuse a negative rate
                     values[key] = default.converters[s](value)
-                except DomainError:  # the rate conversions refuse a negative rate
-                    raise ConfigError(
-                        f"{key} must be >= 0 and finite, got {value:g}") from None
         elif key in raw:
             kind = default if isinstance(default, type) else type(default)
             values[key] = _parse(key, kind, raw[key])
@@ -295,46 +289,43 @@ def _config(cls, v: dict, **given):
     return cls(**{name: v[name] for name in _defaults(cls)}, **given)
 
 
-_COLLAPSE_KEYS = {"lambda_si": "lambda", "r_c": "rc"}  # CollapseParams field -> key
-
-
 def _collapse_params(v: dict, **given) -> CollapseParams:
     """CollapseParams from the resolved inputs v, fields in given taking the
     place of v's.  A constant out of its domain is a ConfigError that names
     its key."""
     c = {k: v[k] for k in ("lambda", "rc", "n_nucleons", "mass_scaling") if k in v} | given
-    try:
+    with as_config_error(lambda_si="lambda", r_c="rc"):
         return CollapseParams(c.pop("lambda"), c.pop("rc"), **c)
-    except DomainError as e:  # "<field> must be ...": name the field's key
-        field, rest = str(e).split(" ", 1)
-        raise ConfigError(f"{_COLLAPSE_KEYS.get(field, field)} {rest}") from None
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns a list of files written into outdir
 # ---------------------------------------------------------------------------
 
-def _packet_and_potential(v: dict):
-    grid = Grid1D.centered(v["grid_n"], v["grid_extent"])
-    psi0 = packet_in_box(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
+def _packet_and_potential(v: dict, params: CollapseParams):
+    """The start packet and the potential, built as the trajectory will
+    use them, so that every rule the config alone decides refuses it here."""
     kind = v["potential"]
-    if kind == "free":
-        pot = Potential.free()
-    elif kind == "harmonic":
-        pot = Potential.harmonic(v["omega"])
-    else:
+    if kind not in ("free", "harmonic"):
         raise ConfigError(f"unknown potential {kind!r} (free|harmonic)")
-    return psi0, pot
+    with as_config_error(n_points="grid_n", extent="grid_extent", sigma="sigma0",
+                         r_c="rc", dt="dt_internal"):
+        grid = Grid1D.centered(v["grid_n"], v["grid_extent"])
+        psi0 = gaussian_packet(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
+        params.hit_rate(grid, v["mass"])
+        if kind == "free":
+            return psi0, Potential.free()
+        pot = Potential.harmonic(v["omega"])
+        Stepper(grid, pot, v["dt_internal"], v["mass"])  # the step guards
+        return psi0, pot
 
 
 def _run_single(v: dict, params: CollapseParams, seed: int, outdir: Path,
                 write_record: bool) -> list[str]:
-    for key in ("t_total", "dt_internal", "sample_every", "grid_extent", "sigma0", "mass"):
-        if not v[key] > 0:
-            raise ConfigError(f"{key} must be > 0, got {v[key]}")
-    check_grid_n(v["grid_n"])
-    check_rc(v["grid_n"], v["grid_extent"], params, v["mass"])
-    psi0, pot = _packet_and_potential(v)
+    # grw_trajectory checks these too, but inside the trajectory
+    require_positive(t_total=v["t_total"], dt_internal=v["dt_internal"],
+                     sample_every=v["sample_every"])
+    psi0, pot = _packet_and_potential(v, params)
     rec = grw_trajectory(
         psi0, pot, params, v["t_total"], v["dt_internal"], v["sample_every"],
         trajectory_rng(seed, 0), seed=seed,
@@ -383,9 +374,6 @@ def cmd_born(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
 def cmd_decohere(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
     params = _collapse_params(v)
     ratios = v["separations_over_rc"]
-    bad = [r for r in ratios if not 0.0 <= r < math.inf]
-    if bad:
-        raise ConfigError(f"separations_over_rc must be >= 0 and finite, got {bad[0]:g}")
     cfg = _config(DecoherenceConfig, v)
     separations = [r * params.r_c for r in ratios]
     reports = decoherence_scan(separations, params, v["n_traj"], cfg, seed, threads)
@@ -468,20 +456,16 @@ def cmd_exclusion(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
 
 
 def cmd_rates(v: dict, seed: int, threads: int, outdir: Path) -> list[str]:
-    for key in ("n", "lambda_si"):
-        if v[key] is not None and not v[key] >= 0:
-            raise ConfigError(f"{key} must be >= 0, got {v[key]:g}")
     lam = v["lambda_si"]
-    if v["n"] is not None and not v["table"]:
-        print("%g" % amplified_rate(v["n"], lam))
+    with as_config_error(n_nucleons="n"):
+        rate = None if v["n"] is None else amplified_rate(v["n"], lam)
+        rows = [(n, amplified_rate(n, lam)) for n in (1.0, 2.0, 1e8, 1e23)]
+    if rate is not None and not v["table"]:
+        print("%g" % rate)
         return []
-    rows = []
-    for n in (1.0, 2.0, 1e8, 1e23):
-        rate = amplified_rate(n, lam)
-        rows.append((n, rate, 1.0 / rate if rate > 0 else float("inf")))
     print(f"{'N':>12}  {'rate_si':>12}  {'mean_collapse_time_s':>20}")
-    for n, rate, tmean in rows:
-        print(f"{n:>12g}  {rate:>12g}  {tmean:>20g}")
+    for n, r in rows:
+        print(f"{n:>12g}  {r:>12g}  {1.0 / r if r > 0 else float('inf'):>20g}")
     return []
 
 

@@ -63,6 +63,14 @@ class CollapseParams:
     def total_rate_internal(self, mass_in_mN: float | None = None) -> float:
         return DEFAULT_UNITS.rate_to_internal(self.total_rate_si(mass_in_mN))
 
+    def hit_rate(self, grid: Grid1D, mass_in_mN: float | None = None) -> float:
+        """total_rate_internal of a run on grid; if it is > 0, the run hits,
+        and its r_c must be one that grid resolves (kernel_bounds)."""
+        rate = self.total_rate_internal(mass_in_mN)
+        if rate > 0:
+            _check_kernel_resolved(grid, self.r_c)
+        return rate
+
 
 @dataclass(frozen=True)
 class CollapseEvent:
@@ -101,16 +109,11 @@ def kernel_bounds(grid: Grid1D) -> tuple[float, float]:
 
 
 def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
-    if not (np.isfinite(r_c) and r_c > 0):
-        raise DomainError(f"r_c must be > 0, got {r_c}")
     low, high = kernel_bounds(grid)
-    if r_c < low:
+    if not low <= r_c <= high:
         raise DomainError(
-            f"r_c = {r_c} unresolved on grid with dx = {grid.dx} (need r_c >= 2 dx)"
-        )
-    if r_c > high:
-        raise DomainError(
-            f"r_c = {r_c} too large for grid extent {grid.extent} (periodic overlap)"
+            f"r_c must be in [{low:g}, {high:g}] on this grid (2 dx to extent / 8), "
+            f"got {r_c}"
         )
 
 
@@ -217,7 +220,7 @@ def effective_reduction_rate(
     Gamma(d) = Lambda_total * (1 - exp(-d^2 / (4 r_c^2))); saturates at the
     amplified total rate for d >> r_c and vanishes quadratically for d -> 0.
     """
-    if d < 0:
+    if not d >= 0:
         raise DomainError(f"separation must be >= 0, got {d}")
     total = params.total_rate_si(mass_in_mN)
     return total * -np.expm1(-(d**2) / (4.0 * params.r_c**2))

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import copyreg
+from contextlib import contextmanager
 
 
 class GrwError(Exception):
@@ -66,3 +67,15 @@ class DecisionTimeoutError(GrwError, RuntimeError):
 
 class WorkerError(GrwError, RuntimeError):
     """A worker process of an ensemble died before returning its results."""
+
+
+@contextmanager
+def as_config_error(**keys: str):
+    """Turns a library rule's DomainError or StepSizeError, "<field> must
+    ...", into a ConfigError naming keys.get(field, field), the config key
+    that sets the field.  For set-up code only: a trajectory's error is its own."""
+    try:
+        yield
+    except (DomainError, StepSizeError) as e:
+        field, rest = str(e).split(" ", 1)
+        raise ConfigError(f"{keys.get(field, field)} {rest}") from None

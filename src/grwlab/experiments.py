@@ -13,15 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collapse import (
-    CollapseParams,
-    effective_reduction_rate,
-    grw_process,
-    kernel_bounds,
-    sample_times,
-)
+from .collapse import CollapseParams, effective_reduction_rate, grw_process, sample_times
 from .ensemble import block_ranges, map_trajectories, total
-from .errors import ConfigError, DecisionTimeoutError, DomainError, StatisticsError
+from .errors import ConfigError, DecisionTimeoutError, StatisticsError, as_config_error
 from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
@@ -131,7 +125,8 @@ class MeasurementConfig:
             raise ConfigError(f"|c_up|^2 + |c_down|^2 = {w}, must be 1")
         if not (0 < self.decision_epsilon < 1):
             raise ConfigError("decision_epsilon must be in (0, 1)")
-        _require_grid(self, "pointer_sigma", "hits_budget")
+        require_positive(pointer_sigma=self.pointer_sigma, hits_budget=self.hits_budget)
+        _grid(self)
         if not self.pointer_n_nucleons >= 1:
             raise ConfigError(
                 f"pointer_n_nucleons must be >= 1, got {self.pointer_n_nucleons}")
@@ -142,14 +137,11 @@ class MeasurementConfig:
             )
 
 
-def _require_positive(cfg, *names: str) -> None:
-    for name in names:
-        _check_positive(name, getattr(cfg, name))
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
+def require_positive(**values: float) -> None:
+    """Each value > 0 and finite, else a ConfigError naming it."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be > 0 and finite, got {value}")
 
 
 def _require_counts(cfg, *names: str) -> None:
@@ -159,44 +151,23 @@ def _require_counts(cfg, *names: str) -> None:
             raise ConfigError(f"{name} must be an integer >= 1, got {value}")
 
 
-def check_grid_n(n: int) -> None:
-    """grid_n must be a power of two, as Grid1D's points are."""
-    if not (isinstance(n, int) and n > 0 and n & (n - 1) == 0):
-        raise ConfigError(f"grid_n must be a positive power of two, got {n}")
+def _grid(cfg) -> Grid1D:
+    """The grid of an ensemble config; a grid_n or grid_extent that Grid1D
+    refuses is a ConfigError naming its key."""
+    with as_config_error(n_points="grid_n", extent="grid_extent"):
+        return Grid1D.centered(cfg.grid_n, cfg.grid_extent)
 
 
-def _require_grid(cfg, *names: str) -> None:
-    """cfg.grid_n a power of two; grid_extent and names > 0."""
-    check_grid_n(cfg.grid_n)
-    _require_positive(cfg, "grid_extent", *names)
-
-
-def check_rc(grid_n: int, grid_extent: float, params: CollapseParams, mass: float) -> None:
-    """r_c within collapse.kernel_bounds on the run's grid, unless the run
-    never hits: what every hit checks, checked once from the config."""
-    low, high = kernel_bounds(Grid1D.centered(grid_n, grid_extent))
-    if params.total_rate_internal(mass) > 0 and not low <= params.r_c <= high:
-        raise ConfigError(
-            f"rc must be in [{low:g}, {high:g}] on this grid (2 dx to grid_extent / 8), "
-            f"got {params.r_c:g}"
-        )
-
-
-def packet_in_box(grid: Grid1D, x0: float, p0: float, sigma0: float, mass: float):
-    """gaussian_packet, whose 6-sigma support must fit the box: a packet that
-    does not is a ConfigError that names sigma0 if no center would hold it,
-    else x0."""
-    try:
-        return gaussian_packet(grid, x0, p0, sigma0, mass)
-    except DomainError as e:
-        key = "sigma0" if not 12.0 * sigma0 <= grid.extent else "x0"
-        raise ConfigError(f"{key} must keep the packet inside the box: {e}") from None
+def _needs_hits(rate: float) -> None:
+    """A run whose result is read from its hits needs a positive rate."""
+    if not rate > 0:
+        raise ConfigError(f"lambda must be > 0: this run needs hits, got a total rate {rate}")
 
 
 @lru_cache(maxsize=1)
 def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
     """The spin (x) pointer state as rows (up, down) of one (2, N) array."""
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    grid = _grid(cfg)
     left, right = _packet_pair(grid, cfg.pointer_separation, cfg.pointer_sigma,
                                cfg.pointer_n_nucleons)
     amps = np.stack([cfg.c_up * left.amps, cfg.c_down * right.amps])
@@ -215,8 +186,6 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
     until one falls below decision_epsilon."""
     start = _initial_hybrid(cfg)
     rate = params.total_rate_internal(cfg.pointer_n_nucleons)
-    if rate <= 0:
-        raise ConfigError("born_trials needs a positive total collapse rate")
     evolution = start.flight(cfg.pointer_n_nucleons, len(rngs))
     t_end = cfg.hits_budget / rate
     eps = cfg.decision_epsilon
@@ -250,7 +219,9 @@ def born_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> Report:
-    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.pointer_n_nucleons)
+    with as_config_error(r_c="rc", sigma="pointer_sigma", x0="pointer_separation"):
+        _needs_hits(params.hit_rate(_grid(cfg), cfg.pointer_n_nucleons))
+        _initial_hybrid(cfg)  # built before any pool forks
     [n_up] = map_trajectories(
         _born_worker, [((cfg, params), None, range(n_trajectories))], master_seed, threads,
         width=_pass_width(2 * cfg.grid_n),  # rows (up, down)
@@ -295,8 +266,10 @@ class DecoherenceConfig:
     n_samples: int = 16
 
     def __post_init__(self):
-        _require_grid(self, "packet_sigma_over_rc", "mass", "hit_resolution", "n_efoldings")
+        require_positive(packet_sigma_over_rc=self.packet_sigma_over_rc, mass=self.mass,
+                         hit_resolution=self.hit_resolution, n_efoldings=self.n_efoldings)
         _require_counts(self, "n_samples")
+        _grid(self)
 
 
 def _decoherence_grid(cfg: DecoherenceConfig, params, d) -> list[float]:
@@ -329,7 +302,7 @@ class _DecoherenceSetup:
 
 @lru_cache(maxsize=1)  # separations run one after another
 def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _DecoherenceSetup:
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    grid = _grid(cfg)
     phi_l, phi_r = _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
     times = _decoherence_grid(cfg, params, d)
@@ -389,14 +362,20 @@ def decoherence_scan(
     All separations run in one process pool; separation j draws from stream
     tag j.
     """
-    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
+    grid = _grid(cfg)
+    with as_config_error(r_c="rc", separation="separations_over_rc",
+                         sigma="packet_sigma_over_rc", x0="separations_over_rc"):
+        _needs_hits(params.hit_rate(grid, cfg.mass))
+        times = []
+        for d in separations:
+            _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
+            times.append(np.array(_decoherence_grid(cfg, params, d)))
     n = ensemble_size
     runs = [((cfg, params, float(d)), j, range(n)) for j, d in enumerate(separations)]
     scans = map_trajectories(_coherence_terms, runs, master_seed, threads,
                              width=_pass_width(cfg.grid_n))
     reports = []
-    for d, (sum_c, sum_x, sum_x2) in zip(separations, scans):
-        t = np.array(_decoherence_grid(cfg, params, d))
+    for d, t, (sum_c, sum_x, sum_x2) in zip(separations, times, scans):
         mean_c = np.abs(sum_c / n)
         gamma_analytic = DEFAULT_UNITS.rate_to_internal(
             effective_reduction_rate(d, params, cfg.mass))
@@ -466,8 +445,9 @@ class VisibilityConfig:
     n_fringes: int = 5
 
     def __post_init__(self):
-        _require_grid(self, "sigma0", "mass")
+        require_positive(sigma0=self.sigma0, mass=self.mass)
         _require_counts(self, "n_batches", "n_fringes")
+        _grid(self)
 
 
 # Zero-padding the screen's transform SCREEN_PAD-fold samples it on a p grid that
@@ -512,7 +492,7 @@ def screen_axis(grid: Grid1D) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _two_arms(cfg: VisibilityConfig, d: float) -> _Start:
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
+    grid = _grid(cfg)
     psi0 = superpose(*_packet_pair(grid, d, cfg.sigma0, cfg.mass), 1.0, 1.0)
     return _Start.of(grid, psi0.amps[None])
 
@@ -586,25 +566,18 @@ def visibility_experiment(
     The far-field fringe period is 2 pi / d; its contrast tracks the
     coherence between the two arms at separation exactly d.
     """
-    _check_positive("t_flight", t_flight)
-    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
+    require_positive(t_flight=t_flight)
     if d < 12.0 * cfg.sigma0:
         raise ConfigError(
-            f"arms are not well separated: d = {d:g} < 12 sigma0 = "
-            f"{12 * cfg.sigma0:g}"
+            f"d_internal must be >= 12 sigma0 = {12 * cfg.sigma0:g} for well "
+            f"separated arms, got {d:g}"
         )
-    if d + 12.0 * cfg.sigma0 > cfg.grid_extent:
-        raise ConfigError(
-            f"arms do not fit the box: d + 12 sigma0 = "
-            f"{d + 12 * cfg.sigma0:g} > extent = {cfg.grid_extent:g}"
-        )
+    with as_config_error(r_c="rc", sigma="sigma0", x0="d_internal"):
+        params.hit_rate(_grid(cfg), cfg.mass)
+        start = _two_arms(cfg, d)
+    # the arms fit the box, d <= extent - 12 sigma0, so a fringe spans > SCREEN_PAD points
     fringe_spacing = 2.0 * np.pi / d
-    p_axis = screen_axis(Grid1D.centered(cfg.grid_n, cfg.grid_extent))
-    if SCREEN_PAD * cfg.grid_extent / d < 8.0:
-        raise ConfigError(
-            f"far-field sampling too coarse: {SCREEN_PAD * cfg.grid_extent / d:.1f} "
-            "points per fringe (need >= 8)"
-        )
+    p_axis = screen_axis(start.grid)
 
     ideal = padded_screen(_unhit_screen(cfg, d, t_flight))  # the no-collapse control
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
@@ -658,7 +631,8 @@ class HeatingConfig:
     grid_extent: float = 128.0
 
     def __post_init__(self):
-        _require_grid(self, "sigma0", "mass")
+        require_positive(sigma0=self.sigma0, mass=self.mass)
+        _grid(self)
 
 
 HEATING_SAMPLES = 20  # heating samples at t_total * s / HEATING_SAMPLES, s = 0 .. 20
@@ -666,8 +640,8 @@ HEATING_SAMPLES = 20  # heating samples at t_total * s / HEATING_SAMPLES, s = 0 
 
 @lru_cache(maxsize=1)
 def _one_packet(cfg: HeatingConfig) -> _Start:
-    grid = Grid1D.centered(cfg.grid_n, cfg.grid_extent)
-    return _Start.of(grid, packet_in_box(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
+    grid = _grid(cfg)
+    return _Start.of(grid, gaussian_packet(grid, 0.0, 0.0, cfg.sigma0, cfg.mass).amps[None])
 
 
 def _heating_worker(job, rngs):
@@ -700,14 +674,14 @@ def heating_experiment(
     threads: int = 1,
 ) -> Report:
     """Linear fit of ensemble-mean energy and <p^2> growth vs time."""
-    _check_positive("t_total", t_total)
-    check_rc(cfg.grid_n, cfg.grid_extent, params, cfg.mass)
-    rate = params.total_rate_internal(cfg.mass)
+    require_positive(t_total=t_total)
+    with as_config_error(r_c="rc", sigma="sigma0"):
+        rate = params.hit_rate(_grid(cfg), cfg.mass)
+        _one_packet(cfg)  # built before any pool forks
     if rate * t_total < 5.0:
         raise ConfigError(
             f"expected hits {rate * t_total:.2f} < 5; increase t_total or lambda"
         )
-    _one_packet(cfg)  # refuses a packet that overflows the box; built before any pool forks
     t = np.array(sample_times(t_total / HEATING_SAMPLES, HEATING_SAMPLES, 1))
     job = (cfg, params, t)
     [(sum_e, sum_p2, hits)] = map_trajectories(

@@ -35,7 +35,7 @@ class Potential:
     @classmethod
     def harmonic(cls, omega: float) -> "Potential":
         if not (np.isfinite(omega) and omega > 0):
-            raise DomainError(f"harmonic omega must be positive, got {omega}")
+            raise DomainError(f"omega must be > 0 and finite, got {omega}")
         return cls(PotentialKind.HARMONIC, omega=omega)
 
     def values(self, grid: Grid1D, mass: float) -> np.ndarray:
@@ -68,11 +68,13 @@ class Stepper:
             raise StepSizeError(f"dt must be finite and nonzero, got {dt}")
         kick = abs(dt) * float(np.max(np.abs(v_arr)))
         if kick >= 0.5:
-            raise StepSizeError(f"potential guard violated: |dt|*max|V| = {kick:.3g} >= 0.5")
+            raise StepSizeError(
+                f"dt must keep |dt|*max|V| = {kick:.3g} below 0.5 (potential guard)")
         phase = abs(dt) * (np.pi / grid.dx) ** 2 / (2.0 * mass)
         if phase >= np.pi:
             raise StepSizeError(
-                f"spectral phase guard violated: |dt|*k_max^2/(2m) = {phase:.3g} >= pi"
+                f"dt must keep |dt|*k_max^2/(2m) = {phase:.3g} below pi "
+                "(spectral phase guard)"
             )
         self.grid = grid
         self.dt = dt

@@ -27,10 +27,12 @@ class Grid1D:
 
     def __post_init__(self):
         n = self.n_points
-        if n <= 0 or (n & (n - 1)) != 0:
+        if not (isinstance(n, (int, np.integer)) and n > 0 and n & (n - 1) == 0):
             raise DomainError(f"n_points must be a positive power of two, got {n}")
-        if not (np.isfinite(self.dx) and self.dx > 0 and np.isfinite(self.x_min)):
-            raise DomainError("grid spacing must be finite and positive")
+        if not (np.isfinite(self.dx) and self.dx > 0):
+            raise DomainError(f"dx must be finite and > 0, got {self.dx}")
+        if not np.isfinite(self.x_min):
+            raise DomainError(f"x_min must be finite, got {self.x_min}")
 
     @property
     def extent(self) -> float:
@@ -52,10 +54,10 @@ class Grid1D:
 
     @classmethod
     def centered(cls, n_points: int, extent: float) -> "Grid1D":
-        if n_points <= 0:
-            raise DomainError(f"n_points must be positive, got {n_points}")
-        dx = extent / n_points
-        return cls(n_points=n_points, x_min=-extent / 2.0, dx=dx)
+        if not (np.isfinite(extent) and extent > 0):
+            raise DomainError(f"extent must be finite and > 0, got {extent}")
+        # an n_points < 1 is refused by __post_init__, not divided by
+        return cls(n_points=n_points, x_min=-extent / 2.0, dx=extent / max(n_points, 1))
 
 
 @lru_cache(maxsize=16)
@@ -128,18 +130,27 @@ def gaussian_packet(
     """Normalized minimum-uncertainty packet with Var(x) = sigma^2, <p> = p0.
 
     The 6-sigma support rule is a hard precondition: aliasing through the
-    periodic boundary silently corrupts every downstream statistic.
+    periodic boundary silently corrupts every downstream statistic.  A sigma
+    that no center could hold in the box is named before an x0 that puts
+    the support out of it.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if x0 - 6.0 * sigma < grid.x_min:
+    if not 12.0 * sigma <= grid.extent:
         raise DomainError(
-            f"packet support overflows the grid on the low side: "
+            f"sigma must be <= extent / 12 = {grid.extent / 12:g} for any 6-sigma "
+            f"support to fit the box, got {sigma}"
+        )
+    if not np.isfinite(p0):
+        raise DomainError(f"p0 must be finite, got {p0}")
+    if not x0 - 6.0 * sigma >= grid.x_min:
+        raise DomainError(
+            f"x0 must keep the 6-sigma support inside the box: "
             f"x0 - 6 sigma = {x0 - 6 * sigma} < x_min = {grid.x_min}"
         )
-    if x0 + 6.0 * sigma > grid.x_max:
+    if not x0 + 6.0 * sigma <= grid.x_max:
         raise DomainError(
-            f"packet support overflows the grid on the high side: "
+            f"x0 must keep the 6-sigma support inside the box: "
             f"x0 + 6 sigma = {x0 + 6 * sigma} > x_max = {grid.x_max}"
         )
     x = grid.x

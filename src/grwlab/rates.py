@@ -15,8 +15,10 @@ from .errors import DomainError
 
 def amplified_rate(n_nucleons: float, lambda_si: float) -> float:
     """Total collapse rate N * lambda of an entangled N-nucleon composite."""
-    if n_nucleons < 0 or lambda_si < 0:
-        raise DomainError("inputs must be non-negative")
+    if not n_nucleons >= 0:
+        raise DomainError(f"n_nucleons must be >= 0, got {n_nucleons}")
+    if not lambda_si >= 0:
+        raise DomainError(f"lambda_si must be >= 0, got {lambda_si}")
     return n_nucleons * lambda_si
 
 

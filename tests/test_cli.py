@@ -19,6 +19,16 @@ def _read_manifest(outdir):
         return json.load(fh)
 
 
+@pytest.fixture
+def no_trajectory(monkeypatch):
+    """A config error comes before any trajectory: starting one fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory started before the config was refused")
+
+    monkeypatch.setattr("grwlab.experiments.map_trajectories", refuse)
+    monkeypatch.setattr("grwlab.cli.grw_trajectory", refuse)
+
+
 def test_rates_deuteron(capsys):
     assert run(["rates", "--n", "2", "--lambda-si", "1e-16"]) == 0
     assert capsys.readouterr().out.strip() == "2e-16"
@@ -112,18 +122,44 @@ def test_mixed_units_rejected(tmp_path):
 
 @pytest.mark.parametrize("argv, key", [
     # the sigma0 = 2 packet cannot fit the 16-wide box anywhere
-    # (x0 - 6 sigma = -12 < x_min = -8)
+    # (12 sigma = 24 > extent = 16)
     (["evolve", "--grid-n", "2048", "--grid-extent", "16", "--dt-internal", "0.05"],
      "sigma0"),
     (["heating", "--lambda-internal", "4", "--sigma0", "40", "--n-traj", "2"], "sigma0"),
     # x0 + 6 sigma = 42 > x_max = 32
     (["evolve", "--x0", "30"], "x0"),
-], ids=["evolve-sigma0", "heating-sigma0", "evolve-x0"])
+    # pairs at +-d/2 fit only if d + 12 sigma <= extent: 44 + 12 > 48, 16 + 12 > 20
+    (["born", "--pointer-separation", "44", "--lambda-internal", "1", "--n-traj", "2"],
+     "pointer_separation"),
+    (["born", "--grid-extent", "20", "--lambda-internal", "1", "--n-traj", "2"],
+     "pointer_separation"),
+    (["decohere", "--separations-over-rc", "40", "--lambda-internal", "2",
+      "--n-traj", "2"], "separations_over_rc"),
+    (["decohere", "--separations-over-rc", "inf", "--n-traj", "2"], "separations_over_rc"),
+    (["decohere", "--packet-sigma-over-rc", "3", "--lambda-internal", "2",
+      "--n-traj", "2"], "packet_sigma_over_rc"),
+    (["visibility", "--d-internal", "1e9", "--n-traj", "2"], "d_internal"),
+    (["visibility", "--d-internal", "nan", "--n-traj", "2"], "d_internal"),
+], ids=["evolve-sigma0", "heating-sigma0", "evolve-x0", "born-separation",
+        "born-extent", "decohere-separation", "decohere-inf", "decohere-sigma",
+        "visibility-far", "visibility-nan"])
+@pytest.mark.usefixtures("no_trajectory")
 def test_a_packet_that_cannot_fit_its_box_is_exit_one(tmp_path, capsys, argv, key):
     # the config alone decides it, so it fails before any trajectory runs
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {key} must keep the packet inside the box: packet support overflows")
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--omega", "0"], "omega"),
+    # |dt| max|V| = 0.3 * 0.5 * 32^2 > 0.5 at the box edge
+    (["--dt-internal", "0.3"], "dt_internal"),
+], ids=["omega", "dt"])
+@pytest.mark.usefixtures("no_trajectory")
+def test_a_harmonic_run_its_config_rules_out_is_exit_one(tmp_path, capsys, argv, key):
+    for cmd in ("evolve", "trajectory"):
+        assert run([cmd, "--potential", "harmonic", *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
 
 
 WRAPS = "the state wraps the periodic box"
@@ -142,6 +178,7 @@ def test_a_free_run_that_wraps_its_box_is_exit_two(tmp_path, capsys, argv, error
     assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
+@pytest.mark.usefixtures("no_trajectory")
 def test_heating_with_too_few_expected_hits_is_exit_one(tmp_path, capsys):
     # at the default lambda a run expects far fewer than 5 hits: the config
     # alone rules it out, before any trajectory runs
@@ -329,6 +366,7 @@ def test_report_json_is_the_dumped_report(tmp_path, argv, experiment):
     ["heating", "--sigma0", "-1", "--lambda-internal", "4"],
     ["heating", "--mass", "-1", "--lambda-internal", "4"],
 ])
+@pytest.mark.usefixtures("no_trajectory")
 def test_nonpositive_config_values_are_exit_one(tmp_path, capsys, argv):
     assert run(argv + ["--n-traj", "2", "--out", str(tmp_path / "x")]) == 1
     key = argv[1].removeprefix("--").replace("-", "_")
@@ -359,11 +397,17 @@ BAD_GRID_AND_PACKET = (
        ("heating", "n_nucleons", "0"), ("born", "lambda_internal", "-1"),
        ("rates", "n", "-1"), ("rates", "lambda_si", "-1"),
        ("exclusion", "n_lambda", "0"), ("exclusion", "n_rc", "-1")]
+    # runs that read their result from hits, at a zero rate; a time or a
+    # momentum no run can reach; arms closer than 12 sigma0
+    + [("born", "lambda_si", "0"), ("decohere", "lambda_si", "0"),
+       ("evolve", "t_total_internal", "inf"), ("heating", "t_total_internal", "inf"),
+       ("evolve", "p0", "nan"), ("visibility", "d_internal", "10")]
 )
 
 
 @pytest.mark.parametrize("cmd, key, value", BAD_GRID_AND_PACKET,
                          ids=[f"{c}-{k}-{v}" for c, k, v in BAD_GRID_AND_PACKET])
+@pytest.mark.usefixtures("no_trajectory")
 def test_bad_grid_and_packet_inputs_are_exit_one(tmp_path, capsys, cmd, key, value):
     # refused as a config error naming the key, not blamed on a trajectory;
     # a quantity given in one of its units is named without the unit
@@ -386,6 +430,7 @@ def test_empty_ensembles_are_exit_one(tmp_path, argv):
 
 
 @pytest.mark.parametrize("sep", [",", ""])
+@pytest.mark.usefixtures("no_trajectory")
 def test_empty_separation_list_is_exit_one(tmp_path, sep):
     assert run([
         "decohere", "--separations-over-rc", sep, "--n-traj", "2",
@@ -402,6 +447,7 @@ def test_empty_separation_list_is_exit_one(tmp_path, sep):
     ["heating", "--t-total-internal", "0", "--lambda-internal", "4"],
     ["visibility", "--t-flight-s", "-1", "--lambda-internal", "1", "--rc-internal", "4"],
 ])
+@pytest.mark.usefixtures("no_trajectory")
 def test_nonpositive_time_inputs_are_exit_one(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
 
@@ -422,11 +468,13 @@ def test_bad_exclusion_ranges_are_exit_one(tmp_path, argv):
     ["evolve", "--grid-n", "256.5"],
     ["trajectory", "--mass-scaling", "maybe"],
 ])
+@pytest.mark.usefixtures("no_trajectory")
 def test_bad_numeric_input_is_exit_one(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "2.5"])
+@pytest.mark.usefixtures("no_trajectory")
 def test_bad_fringe_count_is_exit_one(tmp_path, value):
     assert run(["visibility", "--n-fringes", value, "--lambda-internal", "1",
                 "--rc-internal", "4", "--n-traj", "2", "--out", str(tmp_path / "x")]) == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,9 +153,10 @@ def test_kernel_resolution_guards():
         sample_hit_center(psi.amps, GRID, r_c, [0.5, 0.5, 0.5])
         apply_hit(psi.amps, GRID, 0.0, r_c)
     for r_c in (0.1, np.nextafter(low, 0.0), np.nextafter(high, np.inf), 10.0):
-        with pytest.raises(DomainError, match=f"r_c = {r_c}"):
+        message = f"^r_c must be in .*, got {re.escape(str(r_c))}$"
+        with pytest.raises(DomainError, match=message):
             sample_hit_center(psi.amps, GRID, r_c, [0.5, 0.5, 0.5])
-        with pytest.raises(DomainError, match=f"r_c = {r_c}"):
+        with pytest.raises(DomainError, match=message):
             apply_hit(psi.amps, GRID, 0.0, r_c)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from grwlab import experiments
 from grwlab.collapse import CollapseParams, grw_process, grw_trajectory, sample_times
-from grwlab.errors import ConfigError, DecisionTimeoutError
+from grwlab.errors import ConfigError, DecisionTimeoutError, DomainError
 from grwlab.experiments import (
     HEATING_SAMPLES,
     DecoherenceConfig,
@@ -17,7 +17,6 @@ from grwlab.experiments import (
     born_ensemble,
     _heating_worker,
     born_trials,
-    check_rc,
     decoherence_scan,
     fringe_contrast,
     heating_experiment,
@@ -271,14 +270,19 @@ def test_heating_samples_equal_intervals_of_t_total():
     assert list(t) == [b * 0.025 for b in range(0, 201, 10)]
 
 
-def test_rc_is_checked_against_the_grid_for_runs_that_hit():
+def test_rc_is_checked_against_the_grid_for_runs_that_hit(monkeypatch):
     # 512 points over 128: 2 dx = 0.5 <= r_c <= extent / 8 = 16
+    grid = Grid1D.centered(512, 128.0)
     for r_c in (0.5, 16.0):
-        check_rc(512, 128.0, _params(4.0, r_c), 1.0)
+        assert _params(4.0, r_c).hit_rate(grid) > 0
     for r_c in (0.49, 16.5):
+        with pytest.raises(DomainError, match=r"^r_c must be in \[0.5, 16\]"):
+            _params(4.0, r_c).hit_rate(grid)
+        assert _params(0.0, r_c).hit_rate(grid) == 0  # never hits
+        # an experiment checks it before any trajectory and names the key
+        monkeypatch.setattr(experiments, "map_trajectories", None)
         with pytest.raises(ConfigError, match=r"^rc must be in \[0.5, 16\]"):
-            check_rc(512, 128.0, _params(4.0, r_c), 1.0)
-        check_rc(512, 128.0, _params(0.0, r_c), 1.0)  # never hits
+            heating_experiment(_params(4.0, r_c), 5.0, 2, HeatingConfig(), 0)
 
 
 def test_heating_small_ensemble_sane():

@@ -167,12 +167,14 @@ def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
 
 def test_pass_failure_names_its_stream(monkeypatch):
     # r_c > extent / 8 fails every row's first hit in the hit's own guard, the
-    # backstop of the config check switched off here; separation j is stream j
-    monkeypatch.setattr(experiments, "check_rc", lambda *args: None)
+    # backstop of the set-up check switched off here; separation j is stream j
+    monkeypatch.setattr(CollapseParams, "hit_rate",
+                        lambda self, grid, mass=None: self.total_rate_internal(mass))
     cfg = DecoherenceConfig(grid_n=512, n_samples=4)
     with pytest.raises(DomainError) as info:
         decoherence_scan([2.0, 10.0], _params(2.0, 5.0), 6, cfg, master_seed=3)
-    assert str(info.value).startswith("trajectory 0 of seed 3, stream 0: r_c = 5.0")
+    assert str(info.value).startswith("trajectory 0 of seed 3, stream 0: r_c must be in ")
+    assert str(info.value).endswith("got 5.0")
 
 
 def test_pass_failure_in_a_later_separation_names_its_stream():
