@@ -287,17 +287,18 @@ def _decoherence_grid(cfg: DecoherenceConfig, params, d) -> list[float]:
 class _DecoherenceSetup:
     """What every trajectory of one separation shares.
 
-    phases[s] is drift_phase(t_s) at sample time t_s, and packets holds
-    conj(fft(phi_L)) and conj(fft(phi_R)) times dx / N.  A state whose
-    spectrum at time t_s is phases[s] * chi then has the overlaps
-    (<phi_L|psi(t_s)>, <phi_R|psi(t_s)>) = packets @ (phases[s] * chi)
-    by Parseval: no FFT and no exponential per sample.
+    table[s] is the (2, N) matrix of conj(fft(phi_L)) and conj(fft(phi_R))
+    times dx / N and times drift_phase(t_s) at sample time t_s.  A state
+    whose spectrum at t_s is drift_phase(t_s) * chi (chi: its anchor's
+    spectrum drifted back to t = 0, FreeFlight.origin_spectrum) then has
+    the overlaps (<phi_L|psi(t_s)>, <phi_R|psi(t_s)>) = table[s] @ chi by
+    Parseval: no FFT and no exponential per sample.  chi crosses a hit in
+    one multiply, with no exponential either.
     """
 
     start: _Start
     times: np.ndarray  # (S,)
-    phases: np.ndarray  # (S, N)
-    packets: np.ndarray  # (2, N)
+    table: np.ndarray  # (S, 2, N)
 
 
 @lru_cache(maxsize=1)  # separations run one after another
@@ -305,12 +306,12 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
     grid = _grid(cfg)
     phi_l, phi_r = _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
     psi = superpose(phi_l, phi_r, 1.0, 1.0)
-    times = _decoherence_grid(cfg, params, d)
-    phases = np.stack([drift_phase(grid, t, cfg.mass) for t in times])
+    times = np.array(_decoherence_grid(cfg, params, d))
+    phases = drift_phase(grid, times, cfg.mass)
     spectra = np.fft.fft(np.stack([phi_l.amps, phi_r.amps]))
     packets = np.conj(spectra) * (grid.dx / grid.n_points)
-    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), _frozen(np.array(times)),
-                             _frozen(phases), _frozen(packets))
+    return _DecoherenceSetup(_Start.of(grid, psi.amps[None]), _frozen(times),
+                             _frozen(phases[:, None, :] * packets))
 
 
 def _coherence_samples(job, rngs) -> np.ndarray:
@@ -318,8 +319,10 @@ def _coherence_samples(job, rngs) -> np.ndarray:
     a_L * conj(a_R) at the sample times, one row per trajectory.
 
     Between hits the spectrum drifts by a phase, so each sample's overlaps
-    are read in k space from the anchor's spectrum drifted back to t = 0
-    (FreeFlight.origin_spectrum, one per anchor) and the set-up's tables.
+    are one product of the set-up's table with the anchor's spectrum
+    drifted back to t = 0 (FreeFlight.origin_spectrum): the start spectrum
+    in round 0, and after a hit the hit's read phase carried over in one
+    multiply, so a hit round takes one exponential, the drift to the hit.
     """
     cfg, params, d = job
     setup = _decoherence_setup(cfg, params, d)
@@ -332,11 +335,10 @@ def _coherence_samples(job, rngs) -> np.ndarray:
         chi = evolution.origin_spectrum()[:, 0]
         for s in range(lo.min(), hi.max()):
             due = (lo <= s) & (s < hi)
-            # np.multiply, not *, for the reason given in FreeFlight.at
-            spectra = np.multiply(setup.phases[s], chi[due])
-            overlaps = np.matmul(setup.packets, spectra[:, :, None])
-            for w, (a_l, a_r) in zip(rnd.rows[due], overlaps[:, :, 0]):
-                out[w, s] = a_l * np.conj(a_r)
+            # one (2, N) @ (N, 1) product per row, never a GEMM over rows: a
+            # row's bits stay those of the row alone, and no BLAS threads start
+            a_l, a_r = np.matmul(setup.table[s], chi[due][:, :, None])[:, :, 0].T
+            out[rnd.rows[due], s] = a_l * np.conj(a_r)
     return out
 
 

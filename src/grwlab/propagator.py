@@ -107,10 +107,13 @@ class FreeFlight:
         spectrum: np.ndarray | None = None,
     ):
         self.grid, self.mass = grid, mass
+        self._read = None
         self.anchor(amps, np.zeros(len(amps)))
         self._phi = spectrum
 
     def anchor(self, amps: np.ndarray, t: np.ndarray) -> None:
+        # anchors made from the last read's rows may inherit its back-phase
+        self._carry, self._read = self._read, None
         self.amps, self.t, self._phi, self._chi = amps, t, None, None
 
     def event_time(self, t: np.ndarray) -> np.ndarray:
@@ -125,16 +128,38 @@ class FreeFlight:
 
     def origin_spectrum(self) -> np.ndarray:
         """The anchors' spectra drifted back to t = 0: until the next anchor,
-        row w's spectrum at any time t is drift_phase(t) * origin_spectrum()[w]."""
+        row w's spectrum at any time t is drift_phase(t) * origin_spectrum()[w].
+
+        The back-phase drift_phase(-t) is an exponential only as a fallback.
+        Anchors all at t = 0 return their spectrum.  Anchors made from the
+        last read (at) since an origin_spectrum, at the read's times, carry
+        the read rows' back-phase across the hit: drift_phase(-t_a) *
+        conj(drift_phase(t - t_a)), one multiply with the phase the read
+        took.  Any other anchors fall back to drift_phase(-t).
+        """
         if self._chi is None:
-            phase = drift_phase(self.grid, -self.t, self.mass)
-            self._chi = phase[:, None, :] * self.spectrum()
+            self._back = self._back_phase()
+            self._chi = (self.spectrum() if self._back is None
+                         else np.multiply(self._back[:, None, :], self.spectrum()))
         return self._chi
+
+    def _back_phase(self) -> np.ndarray | None:
+        """drift_phase(-t) of the anchors, or None where every anchor is at t = 0."""
+        if self._carry is not None:
+            t, rows, phase, back = self._carry
+            if len(phase) == len(self.t) and np.all(t == self.t):
+                conj = np.conj(phase)
+                return conj if back is None else np.multiply(back[rows], conj)
+        if not self.t.any():
+            return None
+        return drift_phase(self.grid, -self.t, self.mass)
 
     def at(self, t, rows=slice(None)) -> np.ndarray:
         """The selected rows at time t; a row read at its anchor time is its anchor."""
         tau = t - self.t[rows]
         phase = drift_phase(self.grid, tau, self.mass)
+        if self._chi is not None:  # origin_spectrum is in use: carry its back-phase
+            self._read = t, rows, phase, self._back
         # np.multiply, not *: a * whose temporary operand NumPy reuses for the
         # product (>= 256 kB) swaps the operands, and a row's bits would then
         # depend on how many rows are read together

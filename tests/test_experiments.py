@@ -406,7 +406,7 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
 def test_ensemble_set_up_is_read_only():
     job = _decohere_job(2.0)
     setup = experiments._decoherence_setup(*job)
-    arrays = [setup.start.rows, setup.start.spectrum, setup.phases, setup.packets]
+    arrays = [setup.start.rows, setup.start.spectrum, setup.table]
     before = [a.copy() for a in arrays]
     experiments._coherence_samples(job, [trajectory_rng(2, 0)])
     for a, b in zip(arrays, before):

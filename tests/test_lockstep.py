@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from grwlab import experiments
+from grwlab import experiments, propagator
 from grwlab.collapse import CollapseParams, sample_times
 from grwlab.ensemble import total
 from grwlab.errors import DecisionTimeoutError, DomainError
@@ -22,6 +22,7 @@ from grwlab.experiments import (
     heating_experiment,
     visibility_experiment,
 )
+from grwlab.propagator import FreeFlight
 from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
 
@@ -143,6 +144,39 @@ def test_each_hit_draws_four_uniforms_from_its_rows_stream():
         replay.random(1 + 4 * hits)
         assert rng.random() == alone[0].random() == replay.random()
     assert _bytes(summed) == _bytes(total(lone))
+
+
+@pytest.mark.parametrize("name", list(WORKERS))
+def test_a_block_takes_one_exponential_per_read(monkeypatch, name):
+    # every drift_phase of a block is one FreeFlight.at's: a hit's read, or
+    # visibility's read at t_flight.  Decohere's origin_spectrum takes none:
+    # it starts from the start spectrum and carries the read's phase
+    # across each hit, so decohere takes one per hit round
+    worker, job, stream = WORKERS[name]
+    block = range(5, 13)
+    worker(job, _rngs(block, stream))  # builds the set-up
+    calls = {"drift_phase": 0, "at": 0, "hit rounds": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def watched(*args):
+        for rnd in real_process(*args):
+            calls["hit rounds"] += rnd.centers is not None
+            yield rnd
+
+    real_process = experiments.grw_process
+    monkeypatch.setattr(experiments, "grw_process", watched)
+    monkeypatch.setattr(propagator, "drift_phase", counted("drift_phase", propagator.drift_phase))
+    monkeypatch.setattr(FreeFlight, "at", counted("at", FreeFlight.at))
+    worker(job, _rngs(block, stream))
+    assert calls["hit rounds"] > 0
+    assert calls["drift_phase"] == calls["at"]
+    if name != "visibility":
+        assert calls["at"] == calls["hit rounds"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
