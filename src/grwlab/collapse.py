@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ZeroSupportError
-from .qstate import NORM_TOL, Grid1D, WaveFunction, observables
+from .qstate import NORM_TOL, Grid1D, WaveFunction, fresh, observables
 from .propagator import Potential, flight
 from .rngstream import exponential_variate
 from .units import DEFAULT_UNITS
@@ -117,7 +117,7 @@ def _check_kernel_resolved(grid: Grid1D, r_c: float) -> None:
         )
 
 
-def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u):
+def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u, buffers=fresh):
     """Hit centers a = x + xi, exact draws from p(a) = ||L(a) psi||^2.
 
     rows is one state (N,), its branch rows (K, N), or the (W, K, N) rows
@@ -125,21 +125,29 @@ def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u):
     state, (3,) for one state and (W, 3) for W.  The first picks the grid
     point x from the state's |psi|^2, summed over its rows, by its CDF; the
     other two give xi ~ N(0, r_c^2 / 2) (Box-Muller).  a is x + xi wrapped
-    into the box: a float for one state, a (W,) array for W.
+    into the box: a float for one state, a (W,) array for W.  buffers holds
+    the work arrays (qstate.Buffers).
     """
     _check_kernel_resolved(grid, r_c)
     u = np.asarray(u)
     n = grid.n_points
-    states = np.abs(np.reshape(rows, u.shape[:-1] + (-1, n)))
-    states *= states
-    cdf = np.cumsum(np.sum(states, axis=-2).reshape(-1, n), axis=-1)
+    states = np.reshape(rows, u.shape[:-1] + (-1, n))
+    density = np.abs(states, out=buffers("density", states.shape))
+    np.multiply(density, density, out=density)
+    # each state's summed |psi|^2; the sum of one row is that row
+    if density.shape[-2] > 1:
+        density = np.sum(density, axis=-2, keepdims=True,
+                         out=buffers("summed", density.shape[:-2] + (1, n)))
+    cdf = density.reshape(-1, n)
+    np.cumsum(cdf, axis=-1, out=cdf)
     norm2 = cdf[:, -1] * grid.dx
     bad = np.abs(norm2 - 1.0) > NORM_TOL
     if bad.any():
         raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2[bad][0]}")
     u0, u1, u2 = np.reshape(u, (-1, 3)).T
     # the grid point: the count of CDF values <= u0 total (searchsorted, side="right")
-    j = np.minimum(np.count_nonzero(cdf <= (u0 * cdf[:, -1])[:, None], axis=-1), n - 1)
+    below = np.less_equal(cdf, (u0 * cdf[:, -1])[:, None], out=buffers("below", cdf.shape, bool))
+    j = np.minimum(np.count_nonzero(below, axis=-1), n - 1)
     # (r_c / sqrt 2) sqrt(-2 ln(1 - u1)) cos(2 pi u2)
     xi = r_c * np.sqrt(-np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
     a = grid.x_min + (j * grid.dx + xi) % grid.extent
@@ -156,7 +164,7 @@ def _image_offsets(grid: Grid1D) -> np.ndarray:
     return sliding_window_view(table, n)[:n]
 
 
-def localization_amplitude(grid: Grid1D, a, r_c: float) -> np.ndarray:
+def localization_amplitude(grid: Grid1D, a, r_c: float, buffers=fresh) -> np.ndarray:
     """The Gaussian factor of L(a) on the grid, at minimum-image distances:
     (N,) for a float a, one row per center (W, N) for W centers given as
     (W,) or (W, 1).
@@ -167,27 +175,34 @@ def localization_amplitude(grid: Grid1D, a, r_c: float) -> np.ndarray:
     minimum image, for every point, the one at the far seam included.
     Factors below e^-700 are exactly 0: an exp that underflows is several
     times slower, and so is arithmetic on the subnormal products a tiny
-    nonzero floor would leave.
+    nonzero floor would leave.  buffers holds the work arrays
+    (qstate.Buffers).
     """
     centers = np.ravel(a)
     t = np.ceil((centers - grid.x_min) / grid.dx)
-    u = _image_offsets(grid)[(-t).astype(np.int64) % grid.n_points]
+    offsets = _image_offsets(grid)
+    u = buffers("gaussian", (len(centers), grid.n_points))
+    # rows joined, not np.take, which would copy the whole N x N window view
+    np.concatenate([offsets[j] for j in ((-t).astype(np.int64) % grid.n_points).tolist()],
+                   out=u.reshape(-1))
     u -= (centers - (grid.x_min + t * grid.dx))[:, None]
     u *= u
     u *= -0.5 / r_c**2
-    g = np.zeros_like(u)
-    np.exp(u, out=g, where=u >= -700.0)
+    inside = np.greater_equal(u, -700.0, out=buffers("inside", u.shape, bool))
+    g = np.exp(u, out=u, where=inside)
+    np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
     g *= (np.pi * r_c**2) ** (-0.25)
     return g[0] if np.ndim(a) == 0 else g
 
 
-def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float):
+def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float, buffers=fresh):
     """L(a) applied to every branch row of each state; returns (rows', weight).
 
     rows are as in sample_hit_center, with one center per state in a (a
     float for one state, a (W,) array for W).  weight = ||L(a) psi||^2,
     summed over a state's rows, is the Born weight of its realized branch;
-    each state's rows' are renormalized jointly by it.
+    each state's rows' are renormalized jointly by it.  rows' is written
+    into the work array "hit" of buffers (qstate.Buffers).
     """
     _check_kernel_resolved(grid, r_c)
     a = np.asarray(a, dtype=float)
@@ -197,11 +212,13 @@ def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float):
             f"hit center {a[off].flat[0]} outside grid [{grid.x_min}, {grid.x_max}]"
         )
     states = np.reshape(rows, a.shape + (-1, grid.n_points))
-    hit_amps = localization_amplitude(grid, a, r_c)[..., None, :] * states
+    hit_amps = np.multiply(localization_amplitude(grid, a, r_c, buffers)[..., None, :], states,
+                           out=buffers("hit", states.shape, np.complex128))
     # each state's (re, im) pairs: |L(a) psi|^2 and the renormalization
     # without a complex abs or a complex division
     pairs = hit_amps.view(float).reshape(a.shape + (-1,))
-    weight = np.sum(pairs * pairs, axis=-1) * grid.dx
+    squares = np.multiply(pairs, pairs, out=buffers("squares", pairs.shape))
+    weight = np.sum(squares, axis=-1) * grid.dx
     low = weight < MIN_HIT_WEIGHT
     if low.any():
         raise ZeroSupportError(
@@ -263,7 +280,7 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
     Round.samples names.  The consumer may stop a row by setting its t_next
     to inf.  Then rows whose next hit is past t_end leave; the rest take it.
     """
-    grid = evolution.grid
+    grid, buffers = evolution.grid, evolution.buffers
     rows = np.arange(len(rngs))
     t_wait = np.array([exponential_variate(rng, rate) if rate else np.inf for rng in rngs])
     centers = weights = None
@@ -280,8 +297,8 @@ def grw_process(evolution, rate: float, r_c: float, t_end: float, rngs):
             return
         amps = evolution.at(t_next, going)
         u = np.array([rng.random(4) for rng in rngs])
-        centers = sample_hit_center(amps, grid, r_c, u[:, :3])
-        amps, weights = apply_hit(amps, grid, centers, r_c)
+        centers = sample_hit_center(amps, grid, r_c, u[:, :3], buffers)
+        amps, weights = apply_hit(amps, grid, centers, r_c, buffers)
         evolution.anchor(amps, t_next)
         t_wait = t_wait - np.log1p(-u[:, 3]) / rate
 
@@ -327,6 +344,6 @@ def grw_trajectory(
         events=events,
         sample_times=times,
         observables_at_samples=obs,
-        final_state=psi0.with_amps(amps),
+        final_state=psi0.with_amps(amps.copy()),  # the last read is the flight's
         seed=seed,
     )

@@ -16,8 +16,8 @@ import numpy as np
 from .collapse import CollapseParams, effective_reduction_rate, grw_process, sample_times
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError, as_config_error
-from .propagator import FreeFlight, drift_phase
-from .qstate import Grid1D, gaussian_packet, momentum_moments, superpose
+from .propagator import FreeFlight, drift_phase, take_rows
+from .qstate import Grid1D, fresh, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .units import DEFAULT_UNITS
 
@@ -51,12 +51,13 @@ class Report(dict):
 # ---------------------------------------------------------------------------
 
 # A block of an ensemble is one pass of collapse.grw_process, as wide as
-# this many points of its trajectories' widest arrays allow: 8 trials of
-# born's (2, 1024) rows, 32 of heating's (1, 512), 16 of decohere's (1, 1024)
-# and 8 of visibility's 2N = 2048-point screens.  Twice or four times as many
-# points make every pass's temporaries large enough to be mapped afresh from
-# the system: born then took 50,000-60,000 page faults a run instead of 18.
-PASS_POINTS = 2**14
+# this many points of its trajectories' widest arrays allow: 16 trials of
+# born's (2, 1024) rows, 64 of heating's (1, 512), 32 of decohere's (1, 1024)
+# and 16 of visibility's 2N = 2048-point screens.  A pass holds its work
+# arrays from first use to its end (propagator.pass_buffers), so its width
+# costs no page faults, only memory: a decohere pass of this width holds
+# about 5 MB of them.
+PASS_POINTS = 2**15
 
 
 def _pass_width(points: int) -> int:
@@ -174,16 +175,18 @@ def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
     return _Start.of(grid, amps / np.sqrt(np.sum(_branch_weights(amps, grid))))
 
 
-def _branch_weights(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
-    return np.sum(np.abs(amps) ** 2, axis=-1) * grid.dx
+def _branch_weights(amps: np.ndarray, grid: Grid1D, buffers=fresh) -> np.ndarray:
+    rho = np.abs(amps, out=buffers("density", amps.shape))  # the draw's, free between hits
+    return np.sum(np.square(rho, out=rho), axis=-1) * grid.dx
 
 
 def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[str]:
     """Measurement trials drawing from rngs, run together; each ends "up"
     or "down".  A hit multiplies both branch rows by L(a), a drawn from their
     summed density.  Free evolution keeps each branch's weight, so a trial's
-    weights are checked at t = 0 and after each hit, up to hits_budget / rate,
-    until one falls below decision_epsilon."""
+    weights are checked at t = 0, where every trial has the start's, and
+    after each hit, up to hits_budget / rate, until one falls below
+    decision_epsilon."""
     start = _initial_hybrid(cfg)
     rate = params.total_rate_internal(cfg.pointer_n_nucleons)
     evolution = start.flight(cfg.pointer_n_nucleons, len(rngs))
@@ -191,7 +194,10 @@ def born_trials(cfg: MeasurementConfig, params: CollapseParams, rngs) -> list[st
     eps = cfg.decision_epsilon
     up = np.zeros(len(rngs), dtype=int)
     for rnd in grw_process(evolution, rate, params.r_c, t_end, rngs):
-        weights = _branch_weights(evolution.amps, start.grid)  # (up, down)
+        if rnd.centers is None:  # a row's sum does not depend on how many share it
+            weights = np.broadcast_to(_branch_weights(start.rows, start.grid), (len(rngs), 2))
+        else:
+            weights = _branch_weights(evolution.amps, start.grid, evolution.buffers)  # (up, down)
         decided = (weights < eps).any(axis=1)
         if rnd.centers is None:  # a hit at t = 0 comes before the check at 0
             decided &= rnd.t_next > 0
@@ -333,11 +339,13 @@ def _coherence_samples(job, rngs) -> np.ndarray:
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
         lo, hi = rnd.samples(times)
         chi = evolution.origin_spectrum()[:, 0]
+        held = evolution.buffers("due", chi.shape, np.complex128)
         for s in range(lo.min(), hi.max()):
             due = (lo <= s) & (s < hi)
+            chi_due = take_rows(chi, due, held[:np.count_nonzero(due)])
             # one (2, N) @ (N, 1) product per row, never a GEMM over rows: a
             # row's bits stay those of the row alone, and no BLAS threads start
-            a_l, a_r = np.matmul(setup.table[s], chi[due][:, :, None])[:, :, 0].T
+            a_l, a_r = np.matmul(setup.table[s], chi_due[:, :, None])[:, :, 0].T
             out[rnd.rows[due], s] = a_l * np.conj(a_r)
     return out
 
@@ -457,16 +465,19 @@ class VisibilityConfig:
 SCREEN_PAD = 8
 
 
-def momentum_screen(amps: np.ndarray, grid: Grid1D) -> np.ndarray:
+def momentum_screen(amps: np.ndarray, grid: Grid1D, out=None) -> np.ndarray:
     """|fft(psi, 2N)|^2 dx^2 / 2 pi, unshifted, one row of 2N reals per state
-    in amps (N,) or (W, N).
+    in amps (N,) or (W, N), written into out if given.
 
     It is the transform of psi's autocorrelation, whose 2N - 1 lags it holds
     without aliasing, so it fixes the far-field intensity at any finer p
     spacing: padded_screen gives it on screen_axis(grid).
     """
-    phi = np.fft.fft(amps, n=2 * grid.n_points)
-    return np.abs(phi) ** 2 * grid.dx**2 / (2.0 * np.pi)
+    screen = np.abs(np.fft.fft(amps, n=2 * grid.n_points), out=out)
+    np.square(screen, out=screen)
+    screen *= grid.dx**2
+    screen /= 2.0 * np.pi
+    return screen
 
 
 def padded_screen(screen: np.ndarray) -> np.ndarray:
@@ -516,17 +527,17 @@ def _screen_worker(job, rngs) -> np.ndarray:
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
     evolution = start.flight(cfg.mass, len(rngs))
-    out = [None] * len(rngs)
+    screens = evolution.buffers("screens", (len(rngs), 2 * cfg.grid_n))
     for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
         done = rnd.t_next > t_flight
         if rnd.centers is None:  # rows that leave unhit
-            for w in rnd.rows[done]:
-                out[w] = _unhit_screen(cfg, d, t_flight)
+            screens[rnd.rows[done]] = _unhit_screen(cfg, d, t_flight)
         elif done.any():
-            amps = evolution.at(t_flight, done)[:, 0]
-            for w, screen in zip(rnd.rows[done], momentum_screen(amps, start.grid)):
-                out[w] = screen
-    return total(out)
+            # a row at a time: the rows' 2N-point transforms together would
+            # be the largest array of the pass
+            for w, amps in zip(rnd.rows[done], evolution.at(t_flight, done)[:, 0]):
+                momentum_screen(amps, start.grid, out=screens[w])
+    return total(list(screens))
 
 
 def fringe_contrast(
@@ -660,7 +671,7 @@ def _heating_worker(job, rngs):
     p2 = np.empty((len(rngs), len(times)))
     hits = [0] * len(rngs)
     for r, rnd in enumerate(grw_process(evolution, rate, params.r_c, times[-1], rngs)):
-        anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid)[1]
+        anchor_p2 = momentum_moments(evolution.spectrum()[:, 0], start.grid, evolution.buffers)[1]
         for w, value, a, b in zip(rnd.rows, anchor_p2, *rnd.samples(times)):
             p2[w, a:b] = value
             hits[w] = r

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, StepSizeError
-from .qstate import Grid1D, WaveFunction, k_squared
+from .qstate import Buffers, Grid1D, WaveFunction, k_squared
 
 
 class PotentialKind(Enum):
@@ -44,16 +44,26 @@ class Potential:
         return 0.5 * mass * self.omega**2 * grid.x**2
 
 
-def drift_phase(grid: Grid1D, tau, mass: float) -> np.ndarray:
+def drift_phase(grid: Grid1D, tau, mass: float, out=None, half=None) -> np.ndarray:
     """exp(-i k^2 tau / 2m) on the FFT wavenumbers: free evolution over tau.
 
-    tau is one time (phase (N,)) or one per row (phase (W, N)).  k^2 takes
-    n/2 + 1 distinct values, k[0..n/2]; k[n - j] = -k[j] exactly, so the
-    exponential is taken on those and mirrored.
+    tau is one time (phase (N,)) or one per row (phase (W, N)); the phase is
+    written into out if given.  k^2 takes n/2 + 1 distinct values,
+    k[0..n/2]; k[n - j] = -k[j] exactly, so the exponential is taken on
+    those, in half if given, and mirrored.
     """
-    k2 = k_squared(grid)[: grid.n_points // 2 + 1]
-    half = np.exp(-0.5j * np.asarray(tau)[..., None] * k2 / mass)
-    return np.concatenate((half, half[..., -2:0:-1]), axis=-1)
+    tau = np.asarray(tau)
+    h = grid.n_points // 2 + 1
+    if half is None:
+        half = np.empty(tau.shape + (h,), dtype=np.complex128)
+    np.multiply(-0.5j * tau[..., None], k_squared(grid)[:h], out=half)
+    np.divide(half, mass, out=half)
+    np.exp(half, out=half)
+    if out is None:
+        out = np.empty(tau.shape + (grid.n_points,), dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h:] = half[..., -2:0:-1]
+    return out
 
 
 class Stepper:
@@ -87,9 +97,38 @@ class Stepper:
         return self.half_kick * amps
 
 
+# The work arrays every pass takes, for its reads, spectra, draws and hits,
+# come to about 6 complex arrays the size of its rows; its buffers' block
+# has room for 7, up to just below 4 MiB.  What an experiment takes
+# besides gets arrays of its own once the block is full: decohere's pass,
+# the largest, takes about 10 in all, which leaves less outside the block
+# than in it (see Buffers).  NumPy asks the kernel to back an array of
+# 4 MiB or more with 2 MiB huge pages, which would make a partly used block
+# resident in 2 MiB steps.
+PASS_ARRAYS = 7
+BLOCK_BYTES = 2**22 - 2**12
+
+
+def pass_buffers(amps: np.ndarray) -> Buffers:
+    """The Buffers of a pass of rows amps (W, K, N)."""
+    row_bytes = amps.size * np.dtype(np.complex128).itemsize
+    return Buffers(len(amps), min(PASS_ARRAYS * row_bytes, BLOCK_BYTES))
+
+
 # Drifts and hits live on the real line; the box stands in for it only while
 # a state holds at most this share of its mass in some cyclic 1/32 of the box.
 WRAP_LIMIT = 1e-3
+
+
+def take_rows(a: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """a[rows] for rows a slice or a bool mask over axis 0: a view where it
+    can be one (a slice, or rows all broadcast from one), else gathered into
+    out.  np.take gathers with no temporary only from a C-contiguous a."""
+    if isinstance(rows, slice):
+        return a[rows]
+    if a.strides[0] == 0:
+        return a[: len(out)]
+    return a.take(rows.nonzero()[0], 0, out, "wrap")
 
 
 class FreeFlight:
@@ -99,7 +138,8 @@ class FreeFlight:
     exact k-space drift, ifft(drift_phase(t - t[w]) * fft(rows[w])).  The
     anchors' fft (spectrum, if given, precomputed) is taken once per anchor,
     so a read costs one inverse FFT.  A state read in x that wraps the box
-    (WRAP_LIMIT) is a DomainError.
+    (WRAP_LIMIT) is a DomainError.  buffers holds the pass's work arrays
+    (pass_buffers), its reads among them: a read stays valid until the next.
     """
 
     def __init__(
@@ -107,7 +147,7 @@ class FreeFlight:
         spectrum: np.ndarray | None = None,
     ):
         self.grid, self.mass = grid, mass
-        self._read = None
+        self.buffers, self._turn, self._read = pass_buffers(amps), 0, None
         self.anchor(amps, np.zeros(len(amps)))
         self._phi = spectrum
 
@@ -120,10 +160,22 @@ class FreeFlight:
         """The times at which events due at t are applied: t itself."""
         return t
 
+    def _rows(self, name: str, n_rows: int) -> np.ndarray:
+        """The leading n_rows rows of the held (W, K, N) complex array name."""
+        return self.buffers(name, (n_rows, *self.amps.shape[1:]), np.complex128)
+
+    def _phase(self, tau: np.ndarray, name: str, scratch: str) -> np.ndarray:
+        """drift_phase(tau) in the held (W, N) array name, its distinct half
+        taken in the held array scratch, which is free until written."""
+        n_rows, h = len(tau), self.grid.n_points // 2 + 1
+        half = self._rows(scratch, n_rows).reshape(-1)[: n_rows * h].reshape(n_rows, h)
+        out = self.buffers(name, (n_rows, self.grid.n_points), np.complex128)
+        return drift_phase(self.grid, tau, self.mass, out, half)
+
     def spectrum(self) -> np.ndarray:
         """fft of the anchor rows; a free drift keeps its modulus."""
         if self._phi is None:
-            self._phi = np.fft.fft(self.amps)
+            self._phi = np.fft.fft(self.amps, out=self._rows("spectrum", len(self.amps)))
         return self._phi
 
     def origin_spectrum(self) -> np.ndarray:
@@ -132,45 +184,63 @@ class FreeFlight:
 
         The back-phase drift_phase(-t) is an exponential only as a fallback.
         Anchors all at t = 0 return their spectrum.  Anchors made from the
-        last read (at) since an origin_spectrum, at the read's times, carry
-        the read rows' back-phase across the hit: drift_phase(-t_a) *
-        conj(drift_phase(t - t_a)), one multiply with the phase the read
-        took.  Any other anchors fall back to drift_phase(-t).
+        last read (at) since an origin_spectrum, at the read's times, with no
+        read since, carry the read rows' back-phase across the hit:
+        drift_phase(-t_a) * conj(drift_phase(t - t_a)), one multiply with the
+        phase the read took.  Any other anchors fall back to drift_phase(-t).
         """
         if self._chi is None:
             self._back = self._back_phase()
-            self._chi = (self.spectrum() if self._back is None
-                         else np.multiply(self._back[:, None, :], self.spectrum()))
+            self._chi = (self.spectrum() if self._back is None else np.multiply(
+                self._back[:, None, :], self.spectrum(), out=self._rows("origin", len(self.t))))
         return self._chi
 
     def _back_phase(self) -> np.ndarray | None:
-        """drift_phase(-t) of the anchors, or None where every anchor is at t = 0."""
-        if self._carry is not None:
-            t, rows, phase, back = self._carry
+        """drift_phase(-t) of the anchors, or None where every anchor is at t = 0.
+
+        Two held arrays take turns: a carried back-phase is made from rows
+        of the one before it.
+        """
+        carry, self._carry = self._carry, None
+        self._turn = 1 - self._turn
+        name = f"back{self._turn}"
+        if carry is not None:
+            t, rows, phase, back = carry
             if len(phase) == len(self.t) and np.all(t == self.t):
-                conj = np.conj(phase)
-                return conj if back is None else np.multiply(back[rows], conj)
+                out = self.buffers(name, phase.shape, np.complex128)
+                if back is None:
+                    return np.conjugate(phase, out=out)
+                # the read's phase is spent: conjugate it in place
+                return np.multiply(take_rows(back, rows, out),
+                                   np.conjugate(phase, out=phase), out=out)
         if not self.t.any():
             return None
-        return drift_phase(self.grid, -self.t, self.mass)
+        return self._phase(-self.t, name, "origin")
 
     def at(self, t, rows=slice(None)) -> np.ndarray:
-        """The selected rows at time t; a row read at its anchor time is its anchor."""
+        """The rows selected by a slice or a bool mask at time t; a row read
+        at its anchor time is its anchor.  Valid until the next read."""
+        spectrum = self.spectrum()  # before the read's rows hold the half phase
         tau = t - self.t[rows]
-        phase = drift_phase(self.grid, tau, self.mass)
+        n_rows = len(tau)
+        self._carry = None  # this read's phase takes the held phase a carry points to
+        phase = self._phase(tau, "phase", "read")
         if self._chi is not None:  # origin_spectrum is in use: carry its back-phase
             self._read = t, rows, phase, self._back
-        # np.multiply, not *: a * whose temporary operand NumPy reuses for the
-        # product (>= 256 kB) swaps the operands, and a row's bits would then
-        # depend on how many rows are read together
-        out = np.fft.ifft(np.multiply(phase[:, None, :], self.spectrum()[rows]))
+        out = self._rows("read", n_rows)
+        # phase first, as in every read: NumPy's complex multiply rounds
+        # phase * spectrum and spectrum * phase differently (FMA), and a
+        # row's bits must not depend on how many rows are read together
+        np.multiply(phase[:, None, :], take_rows(spectrum, rows, out), out=out)
+        np.fft.ifft(out, out=out)
         same = tau == 0
         if same.any():
-            out[same] = self.amps[rows][same]
+            out[same] = self.amps[np.arange(len(self.t))[rows][same]]
         # each state's mass in 32 disjoint windows; if none is empty enough, in all cyclic ones
         m = max(1, out.shape[-1] // 32)
         f = out.view(np.float64).reshape(*out.shape[:2], -1, 2 * m)  # re, im interleaved
-        blocks = np.einsum("wkbj,wkbj->wb", f, f)
+        blocks = np.einsum("wkbj,wkbj->wb", f, f,
+                           out=self.buffers("blocks", (n_rows, f.shape[2])))
         full = blocks.min(axis=-1) > WRAP_LIMIT * blocks.sum(axis=-1)
         if full.any():
             rho = np.sum(np.abs(out[full]) ** 2, axis=1)
@@ -195,7 +265,7 @@ class SteppedFlight:
     def __init__(self, stepper: Stepper, amps: np.ndarray):
         if len(amps) != 1:
             raise DomainError(f"a stepped flight carries one trajectory, got {len(amps)}")
-        self.stepper, self.grid = stepper, stepper.grid
+        self.stepper, self.grid, self.buffers = stepper, stepper.grid, pass_buffers(amps)
         self.anchor(amps, np.zeros(1))
 
     def _boundary(self, t) -> int:

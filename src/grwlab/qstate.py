@@ -172,17 +172,69 @@ def superpose(
     return out.normalized()
 
 
-def momentum_moments(phi: np.ndarray, grid: Grid1D):
+def fresh(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """A new array for the work array name: the work arrays of a call that
+    holds none (see Buffers)."""
+    return np.empty(shape, dtype)
+
+
+class Buffers:
+    """The work arrays of one pass of W rows, held from first use to its end.
+
+    buffers(name, shape, dtype) is the leading shape[0] of the W rows of
+    the array name, made at its first call.  Rows only leave a pass, so that
+    array serves all its later rounds, and a round that writes into it with
+    out= allocates nothing.  Every user of the pass's buffers shares their
+    names, and an array holds what its last writer put there.
+
+    The arrays are cut from one block of nbytes, taken at the first call;
+    those past its end get their own.  The one block is what lets glibc
+    keep the pages from pass to pass: it maps the first pass's block afresh
+    and, unmapping it, raises its mmap threshold above the block's size and
+    its trim threshold to twice that, so later blocks come from the heap,
+    and freeing one, with less than its size in other arrays, leaves the
+    heap's free top below the trim threshold.  Arrays of their own alone,
+    freed together at each pass's end, are trimmed instead and fault their
+    pages in again in the next pass.
+    """
+
+    def __init__(self, rows: int, nbytes: int):
+        self.rows, self._nbytes, self._block, self._used = rows, nbytes, None, 0
+        self._held: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        held = self._held.get(name)
+        if held is None:
+            full = (max(self.rows, shape[0]), *shape[1:])
+            size = int(np.prod(full)) * np.dtype(dtype).itemsize
+            if self._block is None:
+                self._block = np.empty(self._nbytes, dtype=np.uint8)
+            if self._used + size <= self._nbytes:
+                piece = self._block[self._used:self._used + size]
+                held = piece.view(dtype).reshape(full)
+                self._used += -(-size // 64) * 64  # the next one 64-byte aligned
+            else:
+                held = np.empty(full, dtype)
+            self._held[name] = held
+        elif (held.shape[1:] != tuple(shape[1:]) or held.dtype != dtype
+              or shape[0] > len(held)):
+            raise TypeError(f"work array {name} is {held.dtype} {held.shape}, not {shape}")
+        return held[: shape[0]]
+
+
+def momentum_moments(phi: np.ndarray, grid: Grid1D, buffers=fresh):
     """<p> and <p^2> of a state from its FFT phi (any normalization), or of
-    each row of a (W, N) phi.
+    each row of a (W, N) phi; buffers holds the work arrays (Buffers).
 
     A free drift only changes the phase of phi, so both stay fixed between
     localization hits.
     """
-    rho_k = np.abs(phi) ** 2
+    rho_k = np.abs(phi, out=buffers("rho_k", phi.shape))
+    np.square(rho_k, out=rho_k)
     nk = np.sum(rho_k, axis=-1)
-    mean_p = np.sum(grid.k * rho_k, axis=-1) / nk
-    mean_p2 = np.sum(k_squared(grid) * rho_k, axis=-1) / nk
+    weighted = buffers("k_weighted", phi.shape)
+    mean_p = np.sum(np.multiply(grid.k, rho_k, out=weighted), axis=-1) / nk
+    mean_p2 = np.sum(np.multiply(k_squared(grid), rho_k, out=weighted), axis=-1) / nk
     return mean_p, mean_p2
 
 

@@ -376,10 +376,11 @@ def _process_items(rows, t_end, times, rng):
     evolution = flight(GRID, Potential.free(), 0.01, 50.0, rows[None])
     items = []
     for rnd in grw_process(evolution, 4.0, 1.0, t_end, [rng]):
+        # a read is the flight's until its next read, an anchor until the next hit
         if rnd.centers is not None:
-            items.append((evolution.t[0], evolution.amps[0], rnd.centers[0]))
+            items.append((evolution.t[0], evolution.amps[0].copy(), rnd.centers[0]))
         [lo], [hi] = rnd.samples(times)
-        items += [(t, evolution.at(t)[0], None) for t in times[lo:hi]]
+        items += [(t, evolution.at(t)[0].copy(), None) for t in times[lo:hi]]
     return items
 
 

@@ -3,11 +3,12 @@ yet every block sum has the bits of its trajectories run one at a time, and
 a failure names a trajectory whose lone run fails the same way."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from grwlab import experiments, propagator
+from grwlab import experiments, propagator, qstate
 from grwlab.collapse import CollapseParams, sample_times
 from grwlab.ensemble import total
 from grwlab.errors import DecisionTimeoutError, DomainError
@@ -67,17 +68,26 @@ def _bytes(result):
 @pytest.mark.parametrize("points", [None, 1024])
 @pytest.mark.parametrize("name", list(WORKERS))
 def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
-    # a block is one pass, as wide as the pass budget allows: by default 8
-    # born trials, 16 decohere rows, 16 visibility screens and 32 heating
+    # a block is one pass, as wide as the pass budget allows: by default 16
+    # born trials, 32 decohere rows, 32 visibility screens and 64 heating
     # rows; a budget of 1024 points leaves 2 heating rows and one of the others
     if points:
         monkeypatch.setattr(experiments, "PASS_POINTS", points)
     width = experiments._pass_width(POINTS[name])
     if not points:
-        assert width == {"born": 8, "decohere": 16, "visibility": 16, "heating": 32}[name]
+        assert width == {"born": 16, "decohere": 32, "visibility": 32, "heating": 64}[name]
     worker, job, stream = WORKERS[name]
     block = range(5, 5 + width)
-    lone = [worker(job, _rngs([i], stream)) for i in block]
+    try:
+        lone = [worker(job, _rngs([i], stream)) for i in block]
+    except DecisionTimeoutError as alone:
+        # born's block of 16 holds trial 14, which never decides (see
+        # test_blocks_hold_rows_without_hits_and_rows_that_leave_early): the
+        # block fails with the error that trial raises alone
+        with pytest.raises(DecisionTimeoutError) as together:
+            worker(job, _rngs(block, stream))
+        assert str(together.value) == str(alone)
+        return
     assert _bytes(worker(job, _rngs(block, stream))) == _bytes(total(lone))
 
 
@@ -95,7 +105,7 @@ def test_every_ensemble_takes_blocks_of_one_full_pass(monkeypatch):
     heating_experiment(_params(4.0, 1.0), 1.5, 2, HeatingConfig(), 3)
     # the benchmark's grids: born and decohere N = 1024, visibility's 2N
     # screen of N = 1024, heating N = 512
-    assert widths == [8, 16, 8, 32]
+    assert widths == [16, 32, 16, 64]
 
 
 def test_blocks_hold_rows_without_hits_and_rows_that_leave_early(monkeypatch):
@@ -182,7 +192,7 @@ def test_a_block_takes_one_exponential_per_read(monkeypatch, name):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     # a budget of 0.4 expected hits: trials whose first hit comes later time
-    # out; at n = 96 the blocks hold 8 trials, so a pass of mixed trials
+    # out; at n = 96 the blocks hold 16 trials, so a pass of mixed trials
     # raises for one of them
     cfg = MeasurementConfig(c_up=np.sqrt(0.5), c_down=np.sqrt(0.5),
                             hits_budget=0.4)
@@ -191,7 +201,7 @@ def test_pass_failure_names_a_trajectory_whose_lone_run_fails(threads):
     late = [exponential_variate(trajectory_rng(1, i), rate) > 0.4 / rate
             for i in range(96)]
     i = late.index(True)
-    assert not all(late[8 * (i // 8):8 * (i // 8) + 8])
+    assert not all(late[16 * (i // 16):16 * (i // 16) + 16])
     with pytest.raises(DecisionTimeoutError) as info:
         born_ensemble(cfg, params, 96, master_seed=1, threads=threads)
     with pytest.raises(DecisionTimeoutError) as alone:
@@ -227,3 +237,67 @@ def test_pass_failure_in_a_later_separation_names_its_stream():
         experiments._coherence_terms((cfg, params, 1.0), [trajectory_rng(3, i, 1)])
     assert str(info.value) == f"trajectory {i} of seed 3, stream 1: {alone.value}"
     assert "wraps the periodic box" in str(alone.value)
+
+
+# NumPy's iterator buffers hold this many elements while the test runs
+_BUFSIZE = 64
+
+
+@pytest.mark.parametrize("name", list(WORKERS))
+def test_a_round_allocates_nothing_the_size_of_its_pass(monkeypatch, name):
+    # a pass makes each work array at its first use and holds it to its end
+    # (qstate.Buffers), so a round that makes none writes into held arrays.
+    # What it may still allocate grows with its rows W, not with their
+    # points: (W,) vectors and masks, at most 64 values of 8 bytes per row;
+    # each row's four uniforms, a small array under 512 bytes with its
+    # object; NumPy's iterator buffers, _BUFSIZE elements of at most 16
+    # bytes for each of three operands; and 8 kB of other Python objects.
+    # The smallest pass-sized array, a bool mask of the rows' points, is
+    # W * N bytes: 16 kB or more for every worker here.
+    worker, job, stream = WORKERS[name]
+    width = experiments._pass_width(POINTS[name])
+    block = range(5, 5 + width)
+    real_process, real_call = experiments.grw_process, qstate.Buffers.__call__
+    peaks, made, seen = [], [], set()
+
+    def call(buffers, work, shape, dtype=np.float64):
+        if (id(buffers), work) not in seen:
+            seen.add((id(buffers), work))
+            made[-1:] = [True]  # the span it falls in, if the pass has begun
+        return real_call(buffers, work, shape, dtype)
+
+    def watched(*args):
+        # from one round's yield to the next: the consumer's work on the
+        # round, then the next round's reads, draws and hits
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        made.append(False)
+        for rnd in real_process(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - start)
+            start = current
+            tracemalloc.reset_peak()
+            made.append(False)
+            yield rnd
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    try:
+        worker(job, _rngs(block, stream))  # builds the set-up
+    except DecisionTimeoutError:
+        assert name == "born"  # trial 14 never decides; its pass still runs rounds
+    monkeypatch.setattr(experiments, "grw_process", watched)
+    monkeypatch.setattr(qstate.Buffers, "__call__", call)
+    bufsize = np.getbufsize()
+    np.setbufsize(_BUFSIZE)
+    tracemalloc.start()
+    try:
+        worker(job, _rngs(block, stream))
+    except DecisionTimeoutError:
+        assert name == "born"
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    bound = width * (64 * 8 + 512) + 3 * _BUFSIZE * 16 + 8192
+    steady = [peak for peak, new in zip(peaks, made) if not new]
+    assert len(steady) >= 2
+    assert max(steady) < bound, (bound, peaks, made)

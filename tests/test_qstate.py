@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from grwlab.errors import DegeneracyError, DomainError, GridMismatchError
 from grwlab.qstate import (
+    Buffers,
     Grid1D,
     WaveFunction,
     gaussian_packet,
@@ -103,3 +104,17 @@ def test_parseval(x0, p0, sigma):
     dk = 2 * np.pi / GRID.extent
     norm_k = np.sum(np.abs(phi) ** 2) * dk
     assert norm_k == pytest.approx(norm_x, rel=1e-12)
+
+
+def test_buffers_hold_leading_rows_of_one_array_per_name():
+    buffers = Buffers(4, 1024)
+    first = buffers("a", (4, 8), np.complex128)
+    first[:] = 1.0
+    fewer = buffers("a", (2, 8), np.complex128)
+    assert np.shares_memory(first, fewer) and fewer.shape == (2, 8)
+    assert (fewer == 1.0).all()  # an array holds what its last writer put there
+    past = buffers("b", (4, 64))  # 2 kB: past the block's end, an array of its own
+    assert not np.shares_memory(first, past)
+    for shape, dtype in (((2, 9), np.complex128), ((2, 8), np.float64), ((5, 8), np.complex128)):
+        with pytest.raises(TypeError):
+            buffers("a", shape, dtype)
