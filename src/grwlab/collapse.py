@@ -132,12 +132,12 @@ def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u, buffers=fre
     u = np.asarray(u)
     n = grid.n_points
     states = np.reshape(rows, u.shape[:-1] + (-1, n))
-    density = np.abs(states, out=buffers("density", states.shape))
+    density = np.abs(states, out=buffers("collapse.density", states.shape))
     np.multiply(density, density, out=density)
     # each state's summed |psi|^2; the sum of one row is that row
     if density.shape[-2] > 1:
         density = np.sum(density, axis=-2, keepdims=True,
-                         out=buffers("summed", density.shape[:-2] + (1, n)))
+                         out=buffers("collapse.summed", density.shape[:-2] + (1, n)))
     cdf = density.reshape(-1, n)
     np.cumsum(cdf, axis=-1, out=cdf)
     norm2 = cdf[:, -1] * grid.dx
@@ -146,7 +146,8 @@ def sample_hit_center(rows: np.ndarray, grid: Grid1D, r_c: float, u, buffers=fre
         raise DomainError(f"rows must be jointly normalized, norm^2 = {norm2[bad][0]}")
     u0, u1, u2 = np.reshape(u, (-1, 3)).T
     # the grid point: the count of CDF values <= u0 total (searchsorted, side="right")
-    below = np.less_equal(cdf, (u0 * cdf[:, -1])[:, None], out=buffers("below", cdf.shape, bool))
+    below = np.less_equal(cdf, (u0 * cdf[:, -1])[:, None],
+                          out=buffers("collapse.below", cdf.shape, bool))
     j = np.minimum(np.count_nonzero(below, axis=-1), n - 1)
     # (r_c / sqrt 2) sqrt(-2 ln(1 - u1)) cos(2 pi u2)
     xi = r_c * np.sqrt(-np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
@@ -181,14 +182,14 @@ def localization_amplitude(grid: Grid1D, a, r_c: float, buffers=fresh) -> np.nda
     centers = np.ravel(a)
     t = np.ceil((centers - grid.x_min) / grid.dx)
     offsets = _image_offsets(grid)
-    u = buffers("gaussian", (len(centers), grid.n_points))
+    u = buffers("collapse.gaussian", (len(centers), grid.n_points))
     # rows joined, not np.take, which would copy the whole N x N window view
     np.concatenate([offsets[j] for j in ((-t).astype(np.int64) % grid.n_points).tolist()],
                    out=u.reshape(-1))
     u -= (centers - (grid.x_min + t * grid.dx))[:, None]
     u *= u
     u *= -0.5 / r_c**2
-    inside = np.greater_equal(u, -700.0, out=buffers("inside", u.shape, bool))
+    inside = np.greater_equal(u, -700.0, out=buffers("collapse.inside", u.shape, bool))
     g = np.exp(u, out=u, where=inside)
     np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
     g *= (np.pi * r_c**2) ** (-0.25)
@@ -202,7 +203,7 @@ def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float, buffers=fresh):
     float for one state, a (W,) array for W).  weight = ||L(a) psi||^2,
     summed over a state's rows, is the Born weight of its realized branch;
     each state's rows' are renormalized jointly by it.  rows' is written
-    into the work array "hit" of buffers (qstate.Buffers).
+    into the work array "collapse.hit" of buffers (qstate.Buffers).
     """
     _check_kernel_resolved(grid, r_c)
     a = np.asarray(a, dtype=float)
@@ -213,11 +214,11 @@ def apply_hit(rows: np.ndarray, grid: Grid1D, a, r_c: float, buffers=fresh):
         )
     states = np.reshape(rows, a.shape + (-1, grid.n_points))
     hit_amps = np.multiply(localization_amplitude(grid, a, r_c, buffers)[..., None, :], states,
-                           out=buffers("hit", states.shape, np.complex128))
+                           out=buffers("collapse.hit", states.shape, np.complex128))
     # each state's (re, im) pairs: |L(a) psi|^2 and the renormalization
     # without a complex abs or a complex division
     pairs = hit_amps.view(float).reshape(a.shape + (-1,))
-    squares = np.multiply(pairs, pairs, out=buffers("squares", pairs.shape))
+    squares = np.multiply(pairs, pairs, out=buffers("collapse.squares", pairs.shape))
     weight = np.sum(squares, axis=-1) * grid.dx
     low = weight < MIN_HIT_WEIGHT
     if low.any():

@@ -16,7 +16,7 @@ import numpy as np
 from .collapse import CollapseParams, effective_reduction_rate, grw_process, sample_times
 from .ensemble import block_ranges, map_trajectories, total
 from .errors import ConfigError, DecisionTimeoutError, StatisticsError, as_config_error
-from .propagator import FreeFlight, drift_phase, take_rows
+from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, fresh, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
 from .units import DEFAULT_UNITS
@@ -55,8 +55,9 @@ class Report(dict):
 # born's (2, 1024) rows, 64 of heating's (1, 512), 32 of decohere's (1, 1024)
 # and 16 of visibility's 2N = 2048-point screens.  A pass holds its work
 # arrays from first use to its end (propagator.pass_buffers), so its width
-# costs no page faults, only memory: a decohere pass of this width holds
-# about 5 MB of them.
+# costs no page faults, only memory, and a wider pass pays fewer Python
+# calls per trajectory: at half this width decohere was no faster than
+# with fresh arrays each round (BENCH_27.json).
 PASS_POINTS = 2**15
 
 
@@ -176,7 +177,7 @@ def _initial_hybrid(cfg: MeasurementConfig) -> _Start:
 
 
 def _branch_weights(amps: np.ndarray, grid: Grid1D, buffers=fresh) -> np.ndarray:
-    rho = np.abs(amps, out=buffers("density", amps.shape))  # the draw's, free between hits
+    rho = np.abs(amps, out=buffers("experiments.branch_density", amps.shape))
     return np.sum(np.square(rho, out=rho), axis=-1) * grid.dx
 
 
@@ -337,16 +338,14 @@ def _coherence_samples(job, rngs) -> np.ndarray:
     evolution = setup.start.flight(cfg.mass, len(rngs))
     out = np.empty((len(rngs), len(times)), dtype=np.complex128)
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
-        lo, hi = rnd.samples(times)
         chi = evolution.origin_spectrum()[:, 0]
-        held = evolution.buffers("due", chi.shape, np.complex128)
-        for s in range(lo.min(), hi.max()):
-            due = (lo <= s) & (s < hi)
-            chi_due = take_rows(chi, due, held[:np.count_nonzero(due)])
-            # one (2, N) @ (N, 1) product per row, never a GEMM over rows: a
-            # row's bits stay those of the row alone, and no BLAS threads start
-            a_l, a_r = np.matmul(setup.table[s], chi_due[:, :, None])[:, :, 0].T
-            out[rnd.rows[due], s] = a_l * np.conj(a_r)
+        for w, row, lo, hi in zip(rnd.rows, chi, *rnd.samples(times)):
+            if lo < hi:
+                # one (2, N) @ (N, 1) product per sample, never a GEMM over
+                # rows: a row's bits stay those of the row alone, and no
+                # BLAS threads start
+                a_l, a_r = np.matmul(setup.table[lo:hi], row[:, None])[:, :, 0].T
+                out[w, lo:hi] = a_l * np.conj(a_r)
     return out
 
 
@@ -527,7 +526,7 @@ def _screen_worker(job, rngs) -> np.ndarray:
     start = _two_arms(cfg, d)
     rate = params.total_rate_internal(cfg.mass)
     evolution = start.flight(cfg.mass, len(rngs))
-    screens = evolution.buffers("screens", (len(rngs), 2 * cfg.grid_n))
+    screens = evolution.buffers("experiments.screens", (len(rngs), 2 * cfg.grid_n))
     for rnd in grw_process(evolution, rate, params.r_c, t_flight, rngs):
         done = rnd.t_next > t_flight
         if rnd.centers is None:  # rows that leave unhit

@@ -105,6 +105,11 @@ class Stepper:
 # than in it (see Buffers).  NumPy asks the kernel to back an array of
 # 4 MiB or more with 2 MiB huge pages, which would make a partly used block
 # resident in 2 MiB steps.
+#
+# A work array's name begins with the module that writes it
+# ("collapse.hit"), and it serves one use there: only that use writes it,
+# and what a call returns in it stays valid until the use's next call.  No
+# function takes another's array as scratch.
 PASS_ARRAYS = 7
 BLOCK_BYTES = 2**22 - 2**12
 
@@ -120,7 +125,7 @@ def pass_buffers(amps: np.ndarray) -> Buffers:
 WRAP_LIMIT = 1e-3
 
 
-def take_rows(a: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+def _take_rows(a: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     """a[rows] for rows a slice or a bool mask over axis 0: a view where it
     can be one (a slice, or rows all broadcast from one), else gathered into
     out.  np.take gathers with no temporary only from a C-contiguous a."""
@@ -164,18 +169,18 @@ class FreeFlight:
         """The leading n_rows rows of the held (W, K, N) complex array name."""
         return self.buffers(name, (n_rows, *self.amps.shape[1:]), np.complex128)
 
-    def _phase(self, tau: np.ndarray, name: str, scratch: str) -> np.ndarray:
-        """drift_phase(tau) in the held (W, N) array name, its distinct half
-        taken in the held array scratch, which is free until written."""
+    def _phase(self, tau: np.ndarray, name: str) -> np.ndarray:
+        """drift_phase(tau) in the held (W, N) array name."""
         n_rows, h = len(tau), self.grid.n_points // 2 + 1
-        half = self._rows(scratch, n_rows).reshape(-1)[: n_rows * h].reshape(n_rows, h)
+        half = self.buffers("propagator.half", (n_rows, h), np.complex128)
         out = self.buffers(name, (n_rows, self.grid.n_points), np.complex128)
         return drift_phase(self.grid, tau, self.mass, out, half)
 
     def spectrum(self) -> np.ndarray:
         """fft of the anchor rows; a free drift keeps its modulus."""
         if self._phi is None:
-            self._phi = np.fft.fft(self.amps, out=self._rows("spectrum", len(self.amps)))
+            out = self._rows("propagator.spectrum", len(self.amps))
+            self._phi = np.fft.fft(self.amps, out=out)
         return self._phi
 
     def origin_spectrum(self) -> np.ndarray:
@@ -192,7 +197,8 @@ class FreeFlight:
         if self._chi is None:
             self._back = self._back_phase()
             self._chi = (self.spectrum() if self._back is None else np.multiply(
-                self._back[:, None, :], self.spectrum(), out=self._rows("origin", len(self.t))))
+                self._back[:, None, :], self.spectrum(),
+                out=self._rows("propagator.origin", len(self.t))))
         return self._chi
 
     def _back_phase(self) -> np.ndarray | None:
@@ -203,7 +209,7 @@ class FreeFlight:
         """
         carry, self._carry = self._carry, None
         self._turn = 1 - self._turn
-        name = f"back{self._turn}"
+        name = f"propagator.back{self._turn}"
         if carry is not None:
             t, rows, phase, back = carry
             if len(phase) == len(self.t) and np.all(t == self.t):
@@ -211,27 +217,27 @@ class FreeFlight:
                 if back is None:
                     return np.conjugate(phase, out=out)
                 # the read's phase is spent: conjugate it in place
-                return np.multiply(take_rows(back, rows, out),
+                return np.multiply(_take_rows(back, rows, out),
                                    np.conjugate(phase, out=phase), out=out)
         if not self.t.any():
             return None
-        return self._phase(-self.t, name, "origin")
+        return self._phase(-self.t, name)
 
     def at(self, t, rows=slice(None)) -> np.ndarray:
         """The rows selected by a slice or a bool mask at time t; a row read
         at its anchor time is its anchor.  Valid until the next read."""
-        spectrum = self.spectrum()  # before the read's rows hold the half phase
+        spectrum = self.spectrum()
         tau = t - self.t[rows]
         n_rows = len(tau)
         self._carry = None  # this read's phase takes the held phase a carry points to
-        phase = self._phase(tau, "phase", "read")
+        phase = self._phase(tau, "propagator.phase")
         if self._chi is not None:  # origin_spectrum is in use: carry its back-phase
             self._read = t, rows, phase, self._back
-        out = self._rows("read", n_rows)
+        out = self._rows("propagator.read", n_rows)
         # phase first, as in every read: NumPy's complex multiply rounds
         # phase * spectrum and spectrum * phase differently (FMA), and a
         # row's bits must not depend on how many rows are read together
-        np.multiply(phase[:, None, :], take_rows(spectrum, rows, out), out=out)
+        np.multiply(phase[:, None, :], _take_rows(spectrum, rows, out), out=out)
         np.fft.ifft(out, out=out)
         same = tau == 0
         if same.any():
@@ -240,7 +246,7 @@ class FreeFlight:
         m = max(1, out.shape[-1] // 32)
         f = out.view(np.float64).reshape(*out.shape[:2], -1, 2 * m)  # re, im interleaved
         blocks = np.einsum("wkbj,wkbj->wb", f, f,
-                           out=self.buffers("blocks", (n_rows, f.shape[2])))
+                           out=self.buffers("propagator.blocks", (n_rows, f.shape[2])))
         full = blocks.min(axis=-1) > WRAP_LIMIT * blocks.sum(axis=-1)
         if full.any():
             rho = np.sum(np.abs(out[full]) ** 2, axis=1)
@@ -314,7 +320,7 @@ def split_step(
     if n_steps == 0:
         return psi
     rows = flight(psi.grid, v, dt, psi.mass, psi.amps[None, None]).at(n_steps * dt)
-    return psi.with_amps(rows[0, 0])
+    return psi.with_amps(rows[0, 0].copy())  # the read is the flight's
 
 
 def spread_analytic(sigma0: float, mass: float, t: float) -> float:

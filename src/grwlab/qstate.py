@@ -184,8 +184,8 @@ class Buffers:
     buffers(name, shape, dtype) is the leading shape[0] of the W rows of
     the array name, made at its first call.  Rows only leave a pass, so that
     array serves all its later rounds, and a round that writes into it with
-    out= allocates nothing.  Every user of the pass's buffers shares their
-    names, and an array holds what its last writer put there.
+    out= allocates nothing.  Who may write which name is set out at
+    propagator.pass_buffers.
 
     The arrays are cut from one block of nbytes, taken at the first call;
     those past its end get their own.  The one block is what lets glibc
@@ -229,10 +229,10 @@ def momentum_moments(phi: np.ndarray, grid: Grid1D, buffers=fresh):
     A free drift only changes the phase of phi, so both stay fixed between
     localization hits.
     """
-    rho_k = np.abs(phi, out=buffers("rho_k", phi.shape))
+    rho_k = np.abs(phi, out=buffers("qstate.rho_k", phi.shape))
     np.square(rho_k, out=rho_k)
     nk = np.sum(rho_k, axis=-1)
-    weighted = buffers("k_weighted", phi.shape)
+    weighted = buffers("qstate.k_weighted", phi.shape)
     mean_p = np.sum(np.multiply(grid.k, rho_k, out=weighted), axis=-1) / nk
     mean_p2 = np.sum(np.multiply(k_squared(grid), rho_k, out=weighted), axis=-1) / nk
     return mean_p, mean_p2

@@ -58,6 +58,14 @@ def _rngs(indices, stream, seed=3):
     return [trajectory_rng(seed, i, stream) for i in indices]
 
 
+def _block(name, width):
+    """width trajectories of seed 3 that all end: born's start past trial
+    14, the one of 0-59 that never decides
+    (test_a_block_fails_as_its_trial_that_never_decides)."""
+    first = 15 if name == "born" else 5
+    return range(first, first + width)
+
+
 def _bytes(result):
     """The bits of a block sum: arrays, tuples of them, or numbers."""
     if isinstance(result, tuple):
@@ -77,18 +85,22 @@ def test_block_sum_equals_lone_trajectories(monkeypatch, name, points):
     if not points:
         assert width == {"born": 16, "decohere": 32, "visibility": 32, "heating": 64}[name]
     worker, job, stream = WORKERS[name]
-    block = range(5, 5 + width)
-    try:
-        lone = [worker(job, _rngs([i], stream)) for i in block]
-    except DecisionTimeoutError as alone:
-        # born's block of 16 holds trial 14, which never decides (see
-        # test_blocks_hold_rows_without_hits_and_rows_that_leave_early): the
-        # block fails with the error that trial raises alone
-        with pytest.raises(DecisionTimeoutError) as together:
-            worker(job, _rngs(block, stream))
-        assert str(together.value) == str(alone)
-        return
+    block = _block(name, width)
+    lone = [worker(job, _rngs([i], stream)) for i in block]
     assert _bytes(worker(job, _rngs(block, stream))) == _bytes(total(lone))
+
+
+def test_a_block_fails_as_its_trial_that_never_decides():
+    # trial 14 of born's seed 3 never decides (see
+    # test_blocks_hold_rows_without_hits_and_rows_that_leave_early): a full
+    # block holding it fails with the error that trial raises alone
+    worker, job, stream = WORKERS["born"]
+    block = range(5, 5 + experiments._pass_width(POINTS["born"]))
+    with pytest.raises(DecisionTimeoutError) as alone:
+        worker(job, _rngs([14], stream))
+    with pytest.raises(DecisionTimeoutError) as together:
+        worker(job, _rngs(block, stream))
+    assert str(together.value) == str(alone.value)
 
 
 def test_every_ensemble_takes_blocks_of_one_full_pass(monkeypatch):
@@ -252,11 +264,12 @@ def test_a_round_allocates_nothing_the_size_of_its_pass(monkeypatch, name):
     # each row's four uniforms, a small array under 512 bytes with its
     # object; NumPy's iterator buffers, _BUFSIZE elements of at most 16
     # bytes for each of three operands; and 8 kB of other Python objects.
-    # The smallest pass-sized array, a bool mask of the rows' points, is
-    # W * N bytes: 16 kB or more for every worker here.
+    # That is less than any float or complex array of the rows' points,
+    # W * N * 8 bytes or more (128 kB or more here), though not less than a
+    # bool mask of them.
     worker, job, stream = WORKERS[name]
     width = experiments._pass_width(POINTS[name])
-    block = range(5, 5 + width)
+    block = _block(name, width)
     real_process, real_call = experiments.grw_process, qstate.Buffers.__call__
     peaks, made, seen = [], [], set()
 
@@ -281,10 +294,7 @@ def test_a_round_allocates_nothing_the_size_of_its_pass(monkeypatch, name):
             yield rnd
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
-    try:
-        worker(job, _rngs(block, stream))  # builds the set-up
-    except DecisionTimeoutError:
-        assert name == "born"  # trial 14 never decides; its pass still runs rounds
+    worker(job, _rngs(block, stream))  # builds the set-up
     monkeypatch.setattr(experiments, "grw_process", watched)
     monkeypatch.setattr(qstate.Buffers, "__call__", call)
     bufsize = np.getbufsize()
@@ -292,8 +302,6 @@ def test_a_round_allocates_nothing_the_size_of_its_pass(monkeypatch, name):
     tracemalloc.start()
     try:
         worker(job, _rngs(block, stream))
-    except DecisionTimeoutError:
-        assert name == "born"
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
