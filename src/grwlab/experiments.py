@@ -297,10 +297,10 @@ class _DecoherenceSetup:
     table[s] is the (2, N) matrix of conj(fft(phi_L)) and conj(fft(phi_R))
     times dx / N and times drift_phase(t_s) at sample time t_s.  A state
     whose spectrum at t_s is drift_phase(t_s) * chi (chi: its anchor's
-    spectrum drifted back to t = 0, FreeFlight.origin_spectrum) then has
-    the overlaps (<phi_L|psi(t_s)>, <phi_R|psi(t_s)>) = table[s] @ chi by
-    Parseval: no FFT and no exponential per sample.  chi crosses a hit in
-    one multiply, with no exponential either.
+    spectrum drifted back to t = 0) then has the overlaps
+    (<phi_L|psi(t_s)>, <phi_R|psi(t_s)>) = table[s] @ chi by Parseval: no
+    FFT and no exponential per sample.  chi crosses a hit in one multiply,
+    with no exponential either (_chi_across_hits).
     """
 
     start: _Start
@@ -321,15 +321,39 @@ def _decoherence_setup(cfg: DecoherenceConfig, params, d: float) -> _Decoherence
                              _frozen(phases[:, None, :] * packets))
 
 
+def _chi_across_hits(back, kept, phase, spectrum, buffers):
+    """(back, chi) of the anchors a hit round made at times t: their
+    back-phases drift_phase(-t), carried across the hits in one multiply
+    with no exponential, and chi = back * spectrum, their spectra drifted
+    back to t = 0.
+
+    back holds the back-phases of the round's running rows (None: all
+    anchored at t = 0), kept the positions among them of the rows hit,
+    ascending, and phase their read's drift_phase(t - t_a)
+    (FreeFlight.phase).  Rows only move toward the front, so the new
+    back-phases are written over back's leading rows.
+    """
+    chi = buffers("experiments.chi", phase.shape, np.complex128)
+    if back is None:
+        back = np.conjugate(phase, out=buffers("experiments.back", phase.shape, np.complex128))
+    else:
+        for i in np.flatnonzero(kept != np.arange(len(kept))):
+            back[i] = back[kept[i]]
+        back = back[: len(kept)]
+        np.multiply(back, np.conjugate(phase, out=chi), out=back)
+    return back, np.multiply(back, spectrum, out=chi)
+
+
 def _coherence_samples(job, rngs) -> np.ndarray:
     """The trajectories drawing from rngs, run as one pass; returns
     a_L * conj(a_R) at the sample times, one row per trajectory.
 
     Between hits the spectrum drifts by a phase, so each sample's overlaps
-    are one product of the set-up's table with the anchor's spectrum
-    drifted back to t = 0 (FreeFlight.origin_spectrum): the start spectrum
-    in round 0, and after a hit the hit's read phase carried over in one
-    multiply, so a hit round takes one exponential, the drift to the hit.
+    are one product of the set-up's table with chi, the anchor's spectrum
+    drifted back to t = 0: the start spectrum in round 0, and after a hit
+    the anchor's spectrum times its back-phase, carried across the hit
+    from the read's phase (_chi_across_hits), so a hit round takes one
+    exponential, the drift to the hit.
     """
     cfg, params, d = job
     setup = _decoherence_setup(cfg, params, d)
@@ -337,8 +361,13 @@ def _coherence_samples(job, rngs) -> np.ndarray:
     rate = params.total_rate_internal(cfg.mass)
     evolution = setup.start.flight(cfg.mass, len(rngs))
     out = np.empty((len(rngs), len(times)), dtype=np.complex128)
+    back = rows = None
     for rnd in grw_process(evolution, rate, params.r_c, times[-1], rngs):
-        chi = evolution.origin_spectrum()[:, 0]
+        chi = evolution.spectrum()[:, 0]
+        if rnd.centers is not None:
+            back, chi = _chi_across_hits(back, np.searchsorted(rows, rnd.rows),
+                                         evolution.phase, chi, evolution.buffers)
+        rows = rnd.rows
         for w, row, lo, hi in zip(rnd.rows, chi, *rnd.samples(times)):
             if lo < hi:
                 # one (2, N) @ (N, 1) product per sample, never a GEMM over
@@ -375,19 +404,22 @@ def decoherence_scan(
     with as_config_error(r_c="rc", separation="separations_over_rc",
                          sigma="packet_sigma_over_rc", x0="separations_over_rc"):
         _needs_hits(params.hit_rate(grid, cfg.mass))
-        times = []
+        times, gammas = [], []
         for d in separations:
             _packet_pair(grid, d, cfg.packet_sigma_over_rc * params.r_c, cfg.mass)
             times.append(np.array(_decoherence_grid(cfg, params, d)))
+            gammas.append(DEFAULT_UNITS.rate_to_internal(
+                effective_reduction_rate(d, params, cfg.mass)))
     n = ensemble_size
+    if n < 2 and not all(g > 0 for g in gammas):
+        # a flat coherence's error bar is the spread of its trajectories
+        raise ConfigError(f"n_traj must be >= 2 at a separation where Gamma(d) = 0, got {n}")
     runs = [((cfg, params, float(d)), j, range(n)) for j, d in enumerate(separations)]
     scans = map_trajectories(_coherence_terms, runs, master_seed, threads,
                              width=_pass_width(cfg.grid_n))
     reports = []
-    for d, t, (sum_c, sum_x, sum_x2) in zip(separations, times, scans):
+    for d, t, gamma_analytic, (sum_c, sum_x, sum_x2) in zip(separations, times, gammas, scans):
         mean_c = np.abs(sum_c / n)
-        gamma_analytic = DEFAULT_UNITS.rate_to_internal(
-            effective_reduction_rate(d, params, cfg.mass))
         if gamma_analytic > 0:
             slope, intercept, r2, slope_err = _linear_fit(t, np.log(mean_c))
             gamma_fit, gamma_err = -slope, slope_err

@@ -101,10 +101,10 @@ class Stepper:
 # come to about 6 complex arrays the size of its rows; its buffers' block
 # has room for 7, up to just below 4 MiB.  What an experiment takes
 # besides gets arrays of its own once the block is full: decohere's pass,
-# the largest, takes about 10 in all, which leaves less outside the block
-# than in it (see Buffers).  NumPy asks the kernel to back an array of
-# 4 MiB or more with 2 MiB huge pages, which would make a partly used block
-# resident in 2 MiB steps.
+# the largest, takes about 9 in all, its back-phases and chi outside the
+# block, which leaves less outside the block than in it (see Buffers).
+# NumPy asks the kernel to back an array of 4 MiB or more with 2 MiB huge
+# pages, which would make a partly used block resident in 2 MiB steps.
 #
 # A work array's name begins with the module that writes it
 # ("collapse.hit"), and it serves one use there: only that use writes it,
@@ -152,14 +152,12 @@ class FreeFlight:
         spectrum: np.ndarray | None = None,
     ):
         self.grid, self.mass = grid, mass
-        self.buffers, self._turn, self._read = pass_buffers(amps), 0, None
+        self.buffers, self.phase = pass_buffers(amps), None
         self.anchor(amps, np.zeros(len(amps)))
         self._phi = spectrum
 
     def anchor(self, amps: np.ndarray, t: np.ndarray) -> None:
-        # anchors made from the last read's rows may inherit its back-phase
-        self._carry, self._read = self._read, None
-        self.amps, self.t, self._phi, self._chi = amps, t, None, None
+        self.amps, self.t, self._phi = amps, t, None
 
     def event_time(self, t: np.ndarray) -> np.ndarray:
         """The times at which events due at t are applied: t itself."""
@@ -183,56 +181,15 @@ class FreeFlight:
             self._phi = np.fft.fft(self.amps, out=out)
         return self._phi
 
-    def origin_spectrum(self) -> np.ndarray:
-        """The anchors' spectra drifted back to t = 0: until the next anchor,
-        row w's spectrum at any time t is drift_phase(t) * origin_spectrum()[w].
-
-        The back-phase drift_phase(-t) is an exponential only as a fallback.
-        Anchors all at t = 0 return their spectrum.  Anchors made from the
-        last read (at) since an origin_spectrum, at the read's times, with no
-        read since, carry the read rows' back-phase across the hit:
-        drift_phase(-t_a) * conj(drift_phase(t - t_a)), one multiply with the
-        phase the read took.  Any other anchors fall back to drift_phase(-t).
-        """
-        if self._chi is None:
-            self._back = self._back_phase()
-            self._chi = (self.spectrum() if self._back is None else np.multiply(
-                self._back[:, None, :], self.spectrum(),
-                out=self._rows("propagator.origin", len(self.t))))
-        return self._chi
-
-    def _back_phase(self) -> np.ndarray | None:
-        """drift_phase(-t) of the anchors, or None where every anchor is at t = 0.
-
-        Two held arrays take turns: a carried back-phase is made from rows
-        of the one before it.
-        """
-        carry, self._carry = self._carry, None
-        self._turn = 1 - self._turn
-        name = f"propagator.back{self._turn}"
-        if carry is not None:
-            t, rows, phase, back = carry
-            if len(phase) == len(self.t) and np.all(t == self.t):
-                out = self.buffers(name, phase.shape, np.complex128)
-                if back is None:
-                    return np.conjugate(phase, out=out)
-                # the read's phase is spent: conjugate it in place
-                return np.multiply(_take_rows(back, rows, out),
-                                   np.conjugate(phase, out=phase), out=out)
-        if not self.t.any():
-            return None
-        return self._phase(-self.t, name)
-
     def at(self, t, rows=slice(None)) -> np.ndarray:
         """The rows selected by a slice or a bool mask at time t; a row read
-        at its anchor time is its anchor.  Valid until the next read."""
+        at its anchor time is its anchor.  Valid until the next read, as is
+        phase, the drift_phase(t - t[w]) of the rows read (None before the
+        first read)."""
         spectrum = self.spectrum()
         tau = t - self.t[rows]
         n_rows = len(tau)
-        self._carry = None  # this read's phase takes the held phase a carry points to
-        phase = self._phase(tau, "propagator.phase")
-        if self._chi is not None:  # origin_spectrum is in use: carry its back-phase
-            self._read = t, rows, phase, self._back
+        self.phase = phase = self._phase(tau, "propagator.phase")
         out = self._rows("propagator.read", n_rows)
         # phase first, as in every read: NumPy's complex multiply rounds
         # phase * spectrum and spectrum * phase differently (FMA), and a

@@ -438,6 +438,16 @@ def test_empty_separation_list_is_exit_one(tmp_path, sep):
     ]) == 1
 
 
+@pytest.mark.usefixtures("no_trajectory")
+def test_one_trajectory_at_a_separation_that_does_not_decay_is_exit_one(tmp_path, capsys):
+    # Gamma(0) = 0: the flat-coherence estimate's error bar is the spread of
+    # the trajectories, which one trajectory does not have (it wrote NaN)
+    assert run(["decohere", "--separations-over-rc", "0", "--n-traj", "1",
+                "--lambda-internal", "2", "--rc-internal", "1",
+                "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: n_traj must be >= 2")
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--dt-internal", "0"],
     ["trajectory", "--dt-internal", "-0.005"],

@@ -25,7 +25,7 @@ from grwlab.experiments import (
     screen_axis,
     visibility_experiment,
 )
-from grwlab.propagator import FreeFlight, Potential
+from grwlab.propagator import FreeFlight, Potential, drift_phase
 from grwlab.qstate import Grid1D, gaussian_packet, superpose
 from grwlab.rngstream import exponential_variate, trajectory_rng
 from grwlab.units import convert_rate_to_si
@@ -401,6 +401,86 @@ def test_decohere_samples_take_no_inverse_fft(monkeypatch):
     # without a density convolution
     assert sum(at_samples, []) == ["fft"] * hits
     assert sorted(calls) == sorted(["fft", "ifft"] * hits)
+
+
+GRID1K = Grid1D.centered(1024, 64.0)
+
+
+def _carried_chi(grid, mass, rows, waits, centers, n_hits):
+    """Run (W, 1, N) rows through read -> hit -> anchor cycles as
+    grw_process does, carrying each anchor's back-phase as decohere's
+    worker does (experiments._chi_across_hits): row w takes n_hits[w]
+    hits, the c-th waits[w, c] after the last, centered at centers[w, c]
+    (r_c = 1), and leaves after its last.  Yields each hit's row ids, their
+    anchors, times and chi, the anchors' spectra drifted back to t = 0."""
+    flight = FreeFlight(grid, mass, rows)
+    ids, t, back = np.arange(len(rows)), np.zeros(len(rows)), None
+    for c in range(n_hits.max()):
+        going = n_hits[ids] > c
+        kept, ids = np.flatnonzero(going), ids[going]
+        t = t[going] + waits[ids, c]
+        if going.all():
+            going = slice(None)
+        g = np.exp(-0.5 * (grid.x - centers[ids, c][:, None, None]) ** 2)
+        amps = g * flight.at(t, going)
+        amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=(1, 2), keepdims=True) * grid.dx)
+        flight.anchor(amps, t)
+        back, chi = experiments._chi_across_hits(back, kept, flight.phase,
+                                                 flight.spectrum()[:, 0], flight.buffers)
+        yield ids, amps, t, chi
+
+
+def _hit_schedule(n_rows, seed=0):
+    """Rows, waits, centers and hit counts for _carried_chi: one row leaves
+    after every fifth cycle, and row 0's fourth hit comes with no wait."""
+    rng = np.random.default_rng(seed)
+    x0 = np.linspace(-8.0, 8.0, n_rows)
+    waits = rng.uniform(0.0, 0.2, (n_rows, 24))
+    waits[0, 3] = 0.0  # read at its anchor time: the read is the anchor itself
+    centers = x0[:, None] + rng.normal(0.0, 0.5, (n_rows, 24))
+    n_hits = np.full(n_rows, 24)
+    n_hits[:4] = [5, 10, 15, 20]
+    rows = np.stack([gaussian_packet(GRID1K, x, 0.1 * i, 1.0, 5.0).amps
+                     for i, x in enumerate(x0)])[:, None]
+    return rows, waits, centers, n_hits
+
+
+def test_decohere_chi_carried_across_hits_matches_a_fresh_exponential():
+    # after each hit chi is the read's phase carried over in one multiply
+    # per hit; it must stay drift_phase(-t) * fft(anchor) up to rounding.
+    # An angle theta = k^2 t / 2m is formed to 1.5 eps relative in either
+    # form (t - t_a, * k^2, / m; the carried angles add up to theta); exp
+    # and each complex multiply add about one eps per factor.  So row w
+    # after n hits stays within eps (4 theta + 3 n + 6) |fft(anchor)|.
+    mass, eps = 5.0, np.finfo(float).eps
+    k2 = GRID1K.k ** 2
+    cycles = 0
+    for n, (ids, amps, t, chi) in enumerate(
+            _carried_chi(GRID1K, mass, *_hit_schedule(18)), 1):
+        spectrum = np.fft.fft(amps)[:, 0]
+        fresh = drift_phase(GRID1K, -t, mass) * spectrum
+        theta = k2 * t[:, None] / (2.0 * mass)
+        assert np.all(np.abs(chi - fresh) <= eps * (4 * theta + 3 * n + 6) * np.abs(spectrum))
+        cycles += 1
+    assert cycles == 24 and theta.max() > 100.0
+
+
+def test_decohere_chi_rows_carried_together_match_rows_carried_alone_bitwise():
+    # 18 rows of 1024 points make the carried products >= 256 kB, large
+    # enough for a * to swap its operands, as in test_propagator's
+    # test_free_flight_rows_read_together_match_rows_read_alone_bitwise.
+    # Decohere's mass of 1e6 keeps its drift phases so close to 1 that such
+    # a swap left test_lockstep's block sums unchanged: a mass of 5 here.
+    rows, waits, centers, n_hits = _hit_schedule(18)
+    together = {}
+    for ids, _, _, chi in _carried_chi(GRID1K, 5.0, rows, waits, centers, n_hits):
+        for w, row in zip(ids, chi):
+            together.setdefault(w, []).append(row.tobytes())
+    for w in range(len(rows)):
+        alone = [chi[0].tobytes() for *_, chi in _carried_chi(
+            GRID1K, 5.0, rows[w:w + 1], waits[w:w + 1], centers[w:w + 1], n_hits[w:w + 1])]
+        assert len(alone) == n_hits[w]
+        assert together[w] == alone
 
 
 def test_ensemble_set_up_is_read_only():

@@ -171,9 +171,9 @@ def test_each_hit_draws_four_uniforms_from_its_rows_stream():
 @pytest.mark.parametrize("name", list(WORKERS))
 def test_a_block_takes_one_exponential_per_read(monkeypatch, name):
     # every drift_phase of a block is one FreeFlight.at's: a hit's read, or
-    # visibility's read at t_flight.  Decohere's origin_spectrum takes none:
-    # it starts from the start spectrum and carries the read's phase
-    # across each hit, so decohere takes one per hit round
+    # visibility's read at t_flight.  Decohere's chi takes none: it starts
+    # from the start spectrum and carries the read's phase across each hit
+    # (experiments._chi_across_hits), so decohere takes one per hit round
     worker, job, stream = WORKERS[name]
     block = range(5, 13)
     worker(job, _rngs(block, stream))  # builds the set-up

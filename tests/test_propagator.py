@@ -15,7 +15,6 @@ from grwlab.propagator import (
 from grwlab.qstate import Grid1D, gaussian_packet, observables
 
 GRID = Grid1D.centered(512, 64.0)
-GRID1K = Grid1D.centered(1024, 64.0)
 # smaller box for harmonic runs: keeps dt max|V| under the step guard
 HGRID = Grid1D.centered(64, 16.0)
 
@@ -155,93 +154,6 @@ def test_free_flight_rows_read_together_match_rows_read_alone_bitwise():
         alone = FreeFlight(grid, 1.0, rows[w:w + 1])
         alone.anchor(rows[w:w + 1], t[w:w + 1])
         assert read[w - 1].tobytes() == alone.at(0.7).tobytes()
-
-
-def _hit_cycles(grid, mass, rows, waits, centers, n_hits):
-    """Run (W, 1, N) rows through read -> hit -> anchor cycles as
-    grw_process does: row w takes n_hits[w] hits, the c-th waits[w, c] after
-    the last, centered at centers[w, c] (r_c = 1), and leaves after its
-    last.  origin_spectrum is read in every round.  Yields each hit's row
-    ids, their anchors, times and origin_spectrum."""
-    flight = FreeFlight(grid, mass, rows)
-    ids, t = np.arange(len(rows)), np.zeros(len(rows))
-    for c in range(n_hits.max()):
-        flight.origin_spectrum()
-        going = n_hits[ids] > c
-        ids = ids[going]
-        t = t[going] + waits[ids, c]
-        if going.all():
-            going = slice(None)
-        g = np.exp(-0.5 * (grid.x - centers[ids, c][:, None, None]) ** 2)
-        amps = g * flight.at(t, going)
-        amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=(1, 2), keepdims=True) * grid.dx)
-        flight.anchor(amps, t)
-        yield ids, amps, t, flight.origin_spectrum()
-
-
-def _hit_schedule(n_rows, seed=0):
-    """Rows, waits, centers and hit counts for _hit_cycles: one row leaves
-    after every fifth cycle, and row 0's fourth hit comes with no wait."""
-    rng = np.random.default_rng(seed)
-    x0 = np.linspace(-8.0, 8.0, n_rows)
-    waits = rng.uniform(0.0, 0.2, (n_rows, 24))
-    waits[0, 3] = 0.0  # read at its anchor time: the read is the anchor itself
-    centers = x0[:, None] + rng.normal(0.0, 0.5, (n_rows, 24))
-    n_hits = np.full(n_rows, 24)
-    n_hits[:4] = [5, 10, 15, 20]
-    rows = np.stack([gaussian_packet(GRID1K, x, 0.1 * i, 1.0, 5.0).amps
-                     for i, x in enumerate(x0)])[:, None]
-    return rows, waits, centers, n_hits
-
-
-def test_origin_spectrum_carried_across_hits_matches_a_fresh_exponential():
-    # after each hit origin_spectrum is the read's phase carried over in one
-    # multiply per hit; it must stay drift_phase(-t) * fft(anchor) up to
-    # rounding.  An angle theta = k^2 t / 2m is formed to 1.5 eps relative in
-    # either form (t - t_a, * k^2, / m; the carried angles add up to theta);
-    # exp and each complex multiply add about one eps per factor.  So row w
-    # after n hits stays within eps (4 theta + 3 n + 6) |fft(anchor)|.
-    mass, eps = 5.0, np.finfo(float).eps
-    schedule = _hit_schedule(18)
-    k2 = GRID1K.k ** 2
-    cycles = 0
-    for n, (ids, amps, t, chi) in enumerate(_hit_cycles(GRID1K, mass, *schedule), 1):
-        spectrum = np.fft.fft(amps)
-        fresh = drift_phase(GRID1K, -t, mass)[:, None, :] * spectrum
-        theta = k2 * t[:, None, None] / (2.0 * mass)
-        assert np.all(np.abs(chi - fresh) <= eps * (4 * theta + 3 * n + 6) * np.abs(spectrum))
-        cycles += 1
-    assert cycles == 24 and theta.max() > 100.0
-
-
-def test_origin_spectrum_rows_carried_together_match_rows_carried_alone_bitwise():
-    # 18 rows of 1024 points make the carried products >= 256 kB, large
-    # enough for a * to swap its operands, as in
-    # test_free_flight_rows_read_together_match_rows_read_alone_bitwise
-    rows, waits, centers, n_hits = _hit_schedule(18)
-    together = {}
-    for ids, _, _, chi in _hit_cycles(GRID1K, 5.0, rows, waits, centers, n_hits):
-        for w, row in zip(ids, chi):
-            together.setdefault(w, []).append(row.tobytes())
-    for w in range(len(rows)):
-        alone = [chi[0].tobytes() for *_, chi in _hit_cycles(
-            GRID1K, 5.0, rows[w:w + 1], waits[w:w + 1], centers[w:w + 1], n_hits[w:w + 1])]
-        assert len(alone) == n_hits[w]
-        assert together[w] == alone
-
-
-def test_origin_spectrum_falls_back_to_an_exponential():
-    # anchors that are not the last read's rows at its times take
-    # drift_phase(-t); anchors at t = 0 are their spectrum
-    rows = _hit_schedule(18)[0][:3]
-    flight = FreeFlight(GRID1K, 5.0, rows)
-    assert flight.origin_spectrum().tobytes() == np.fft.fft(rows).tobytes()
-    read = flight.at(0.5)
-    for t in (np.full(3, 0.25), np.full(3, 0.5)):
-        flight.anchor(read, t)
-        fresh = drift_phase(GRID1K, -t, 5.0)[:, None, :] * np.fft.fft(read)
-        # the second anchor's read is not the last read: origin_spectrum took none
-        assert flight.origin_spectrum().tobytes() == fresh.tobytes()
 
 
 def test_free_flight_fails_a_state_that_wraps_the_box():
