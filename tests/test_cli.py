@@ -162,6 +162,12 @@ def test_a_harmonic_run_its_config_rules_out_is_exit_one(tmp_path, capsys, argv,
         assert capsys.readouterr().err.startswith(f"error: {key} must ")
 
 
+def test_a_harmonic_trajectory_with_hits_runs(tmp_path):
+    # |dt| max|V| = 0.005 * 0.5 * 0.25^2 * 32^2 = 0.16 at the default dt
+    argv = ["trajectory", "--omega", "0.25", "--lambda-internal", "2", "--rc-internal", "1"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+
+
 WRAPS = "the state wraps the periodic box"
 
 

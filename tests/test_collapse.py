@@ -437,6 +437,26 @@ def test_grw_process_hit_is_draw_and_apply():
     assert evolution.at(t)[0].tobytes() == after.tobytes()
 
 
+def test_a_stepped_trajectory_replays_as_steps_and_hits():
+    # in a harmonic trap the rows exist at step boundaries only: each hit
+    # falls on the nearest one, and split_step to it, then apply_hit at the
+    # recorded center, gives the hit's weight and the final state bit for bit
+    dt, v, r_c = 0.005, Potential.harmonic(0.25), 1.0
+    psi = gaussian_packet(GRID, 0.0, 0.0, 2.0, 1.0)
+    rec = grw_trajectory(psi, v, _params(2.0, r_c), 4.0, dt, 10, trajectory_rng(3, 0), seed=3)
+    assert rec.n_hits() >= 5
+    b = 0
+    for e in rec.events:
+        b_hit = round(e.t / dt)
+        assert e.t == b_hit * dt
+        psi = split_step(psi, v, dt, b_hit - b)
+        amps, weight = apply_hit(psi.amps, GRID, e.center, r_c)
+        assert weight == e.branch_weight
+        psi, b = psi.with_amps(amps), b_hit
+    final = split_step(psi, v, dt, round(4.0 / dt) - b)
+    assert final.amps.tobytes() == rec.final_state.amps.tobytes()
+
+
 def test_stream_tags_give_distinct_streams():
     base = trajectory_rng(5, 2).random(4)
     assert np.array_equal(trajectory_rng(5, 2, stream=0).random(4), base)
