@@ -47,7 +47,7 @@ from .experiments import (
     require_positive,
     visibility_experiment,
 )
-from .propagator import Potential, Stepper
+from .propagator import Potential, flight
 from .qstate import Grid1D, gaussian_packet, observables
 from .rates import amplified_rate
 from .rngstream import trajectory_rng
@@ -130,7 +130,7 @@ GRW = {"lambda": Unit(1e-16, RATE_SI), "rc": Unit(1.0, LENGTH_INTERNAL)}
 COLLAPSE = {**GRW, "n_nucleons": CollapseParams.n_nucleons}
 PACKET = {
     "grid_n": 512, "grid_extent": 64.0, "x0": 0.0, "p0": 0.0, "sigma0": 2.0,
-    "mass": 1.0, "potential": "free", "omega": 1.0,
+    "mass": 1.0, "omega": 0.0,
     "t_total": Unit(4.0, TIME_INTERNAL), "dt_internal": 0.005, "sample_every": 10,
 }
 
@@ -305,19 +305,14 @@ def _collapse_params(v: dict, **given) -> CollapseParams:
 def _packet_and_potential(v: dict, params: CollapseParams):
     """The start packet and the potential, built as the trajectory will
     use them, so that every rule the config alone decides refuses it here."""
-    kind = v["potential"]
-    if kind not in ("free", "harmonic"):
-        raise ConfigError(f"unknown potential {kind!r} (free|harmonic)")
     with as_config_error(n_points="grid_n", extent="grid_extent", sigma="sigma0",
                          r_c="rc", dt="dt_internal"):
         grid = Grid1D.centered(v["grid_n"], v["grid_extent"])
         psi0 = gaussian_packet(grid, v["x0"], v["p0"], v["sigma0"], v["mass"])
         params.hit_rate(grid, v["mass"])
-        if kind == "free":
-            return psi0, Potential.free()
-        pot = Potential.harmonic(v["omega"])
-        Stepper(grid, pot, v["dt_internal"], v["mass"])  # the step guards
-        return psi0, pot
+        pot = Potential(v["omega"])
+        flight(grid, pot, v["dt_internal"], v["mass"], psi0.amps[None, None])  # the step guards
+    return psi0, pot
 
 
 def _run_single(v: dict, params: CollapseParams, seed: int, outdir: Path,

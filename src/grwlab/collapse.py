@@ -319,8 +319,8 @@ def grw_trajectory(
 
     Observables are sampled at every sample_every-th step boundary and at
     the last.  Free evolution between events is exact, so hits fall at their
-    exact Poisson times; other potentials take Strang steps of dt, with hits
-    on the nearest step boundary.
+    exact Poisson times; a trap (omega > 0) takes Strang steps of dt, with
+    hits on the nearest step boundary.
     """
     if t_total <= 0 or dt <= 0:
         raise DomainError("t_total and dt must be positive")

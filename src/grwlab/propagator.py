@@ -10,7 +10,6 @@ in position space.  Second order in dt; exactly unitary up to FFT round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,29 +17,27 @@ from .errors import DomainError, StepSizeError
 from .qstate import Buffers, Grid1D, WaveFunction, k_squared
 
 
-class PotentialKind(Enum):
-    FREE = "free"
-    HARMONIC = "harmonic"
-
-
 @dataclass(frozen=True)
 class Potential:
-    kind: PotentialKind
+    """The trap V(x) = m omega^2 x^2 / 2; omega = 0 is the free particle."""
+
     omega: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.omega) and self.omega >= 0):
+            raise DomainError(f"omega must be >= 0 and finite, got {self.omega}")
 
     @classmethod
     def free(cls) -> "Potential":
-        return cls(PotentialKind.FREE)
+        return cls()
 
     @classmethod
     def harmonic(cls, omega: float) -> "Potential":
-        if not (np.isfinite(omega) and omega > 0):
-            raise DomainError(f"omega must be > 0 and finite, got {omega}")
-        return cls(PotentialKind.HARMONIC, omega=omega)
+        if not omega > 0:
+            raise DomainError(f"omega must be > 0 for a trap, got {omega}")
+        return cls(omega)
 
     def values(self, grid: Grid1D, mass: float) -> np.ndarray:
-        if self.kind is PotentialKind.FREE:
-            return np.zeros(grid.n_points)
         return 0.5 * mass * self.omega**2 * grid.x**2
 
 
@@ -64,37 +61,6 @@ def drift_phase(grid: Grid1D, tau, mass: float, out=None, half=None) -> np.ndarr
     out[..., :h] = half
     out[..., h:] = half[..., -2:0:-1]
     return out
-
-
-class Stepper:
-    """Precomputed Strang-step factors for a fixed (grid, potential, dt, mass),
-    for a dt inside the step guards (|dt| max|V| < 1/2, |dt| k_max^2/2m < pi).
-    Reusing one keeps the work of a step at two FFTs and three multiplies.
-    """
-
-    def __init__(self, grid: Grid1D, v: Potential, dt: float, mass: float):
-        v_arr = v.values(grid, mass)
-        if not (np.isfinite(dt) and dt != 0.0):
-            raise StepSizeError(f"dt must be finite and nonzero, got {dt}")
-        kick = abs(dt) * float(np.max(np.abs(v_arr)))
-        if kick >= 0.5:
-            raise StepSizeError(
-                f"dt must keep |dt|*max|V| = {kick:.3g} below 0.5 (potential guard)")
-        phase = abs(dt) * (np.pi / grid.dx) ** 2 / (2.0 * mass)
-        if phase >= np.pi:
-            raise StepSizeError(
-                f"dt must keep |dt|*k_max^2/(2m) = {phase:.3g} below pi "
-                "(spectral phase guard)"
-            )
-        self.grid = grid
-        self.dt = dt
-        self.half_kick = np.exp(-0.5j * dt * v_arr)
-        self.drift = drift_phase(grid, dt, mass)
-
-    def step(self, amps: np.ndarray) -> np.ndarray:
-        amps = self.half_kick * amps
-        amps = np.fft.ifft(self.drift * np.fft.fft(amps))
-        return self.half_kick * amps
 
 
 # The work arrays every pass takes, for its reads, spectra, draws and hits,
@@ -218,35 +184,54 @@ class FreeFlight:
 
 
 class SteppedFlight:
-    """Strang steps of stepper.dt on the (1, K, N) rows of one trajectory.
+    """Strang steps of dt under v on the (1, K, N) rows of one trajectory,
+    for a dt inside the step guards (|dt| max|V| < 1/2, |dt| k_max^2/2m < pi).
 
     The rows exist at step boundaries only; events fall on the nearest
     boundary.  Reading the rows at a later time steps them forward, which
-    gives the same bits as stepping from the last anchor.
+    gives the same bits as stepping from the last anchor.  A step is two
+    FFTs and three multiplies by factors taken once.
     """
 
-    def __init__(self, stepper: Stepper, amps: np.ndarray):
+    def __init__(self, grid: Grid1D, v: Potential, dt: float, mass: float, amps: np.ndarray):
+        v_arr = v.values(grid, mass)
+        if not (np.isfinite(dt) and dt != 0.0):
+            raise StepSizeError(f"dt must be finite and nonzero, got {dt}")
+        kick = abs(dt) * float(np.max(np.abs(v_arr)))
+        if kick >= 0.5:
+            raise StepSizeError(
+                f"dt must keep |dt|*max|V| = {kick:.3g} below 0.5 (potential guard)")
+        phase = abs(dt) * (np.pi / grid.dx) ** 2 / (2.0 * mass)
+        if phase >= np.pi:
+            raise StepSizeError(
+                f"dt must keep |dt|*k_max^2/(2m) = {phase:.3g} below pi "
+                "(spectral phase guard)"
+            )
         if len(amps) != 1:
             raise DomainError(f"a stepped flight carries one trajectory, got {len(amps)}")
-        self.stepper, self.grid, self.buffers = stepper, stepper.grid, pass_buffers(amps)
+        self.grid, self.dt, self.buffers = grid, dt, pass_buffers(amps)
+        self.half_kick = np.exp(-0.5j * dt * v_arr)
+        self.drift = drift_phase(grid, dt, mass)
         self.anchor(amps, np.zeros(1))
 
     def _boundary(self, t) -> int:
-        return int(np.rint(np.ravel(t)[0] / self.stepper.dt))
+        return int(np.rint(np.ravel(t)[0] / self.dt))
 
     def anchor(self, amps: np.ndarray, t: np.ndarray) -> None:
         self.amps, self.t, self.b = amps, t, self._boundary(t)
 
     def event_time(self, t: np.ndarray) -> np.ndarray:
         """The times at which events due at t are applied: the nearest boundary."""
-        return np.rint(t / self.stepper.dt) * self.stepper.dt
+        return np.rint(t / self.dt) * self.dt
 
     def at(self, t, rows=slice(None)) -> np.ndarray:
         b = self._boundary(t)
         if b < self.b:
             raise DomainError(f"cannot step back from boundary {self.b} to {b}")
         for _ in range(b - self.b):
-            self.amps = self.stepper.step(self.amps)
+            amps = self.half_kick * self.amps
+            amps = np.fft.ifft(self.drift * np.fft.fft(amps))
+            self.amps = self.half_kick * amps
         self.b = b
         return self.amps[rows]
 
@@ -256,12 +241,12 @@ def flight(
 ) -> FreeFlight | SteppedFlight:
     """The evolution of (W, K, N) rows amps from t = 0 under v.
 
-    Free evolution is exact and reads no dt (FreeFlight); any other potential
-    takes Strang steps of dt (SteppedFlight), checked by the Stepper's guards.
+    Free evolution (omega = 0) is exact and reads no dt (FreeFlight); a trap
+    takes Strang steps of dt (SteppedFlight), checked by its step guards.
     """
-    if v.kind is PotentialKind.FREE:
+    if v.omega == 0:
         return FreeFlight(grid, mass, amps)
-    return SteppedFlight(Stepper(grid, v, dt, mass), amps)
+    return SteppedFlight(grid, v, dt, mass, amps)
 
 
 def split_step(
@@ -269,7 +254,7 @@ def split_step(
 ) -> WaveFunction:
     """Evolve psi over n_steps * dt (dt may be negative).
 
-    Takes n_steps Strang steps of dt, except for the free potential, whose
+    Takes n_steps Strang steps of dt, except for the free particle, whose
     evolution is one exact drift over n_steps * dt.
     """
     if n_steps < 0:

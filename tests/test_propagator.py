@@ -7,7 +7,7 @@ from grwlab.errors import DomainError, StepSizeError
 from grwlab.propagator import (
     FreeFlight,
     Potential,
-    Stepper,
+    SteppedFlight,
     drift_phase,
     split_step,
     spread_analytic,
@@ -17,6 +17,13 @@ from grwlab.qstate import Grid1D, gaussian_packet, observables
 GRID = Grid1D.centered(512, 64.0)
 # smaller box for harmonic runs: keeps dt max|V| under the step guard
 HGRID = Grid1D.centered(64, 16.0)
+
+
+def _strang(grid, v, dt, mass):
+    """One Strang step, kick(dt/2) -> drift(dt) -> kick(dt/2), written out."""
+    half_kick = np.exp(-0.5j * dt * v.values(grid, mass))
+    drift = drift_phase(grid, dt, mass)
+    return lambda amps: half_kick * np.fft.ifft(drift * np.fft.fft(half_kick * amps))
 
 
 def test_free_spreading_matches_closed_form():
@@ -85,10 +92,10 @@ def test_stepper_matches_split_step():
     # split_step still steps when there is a potential
     psi = gaussian_packet(HGRID, 0.0, 1.0, sigma=1.0, mass=1.0)
     v = Potential.harmonic(1.0)
-    stepper = Stepper(HGRID, v, 0.004, 1.0)
+    step = _strang(HGRID, v, 0.004, 1.0)
     amps = psi.amps
     for _ in range(50):
-        amps = stepper.step(amps)
+        amps = step(amps)
     out = split_step(psi, v, dt=0.004, n_steps=50)
     np.testing.assert_array_equal(amps, out.amps)
 
@@ -99,10 +106,10 @@ def test_free_split_step_is_one_exact_drift():
     drift = np.fft.ifft(drift_phase(GRID, 50 * 0.004, 1.0) * np.fft.fft(psi.amps))
     assert out.amps.tobytes() == drift.tobytes()
     # free Strang steps are exact too, up to round-off
-    stepper = Stepper(GRID, Potential.free(), 0.004, 1.0)
+    step = _strang(GRID, Potential.free(), 0.004, 1.0)
     amps = psi.amps
     for _ in range(50):
-        amps = stepper.step(amps)
+        amps = step(amps)
     np.testing.assert_allclose(out.amps, amps, rtol=0, atol=1e-12)
 
 
@@ -123,11 +130,11 @@ def test_free_flight_matches_free_steps_across_hits():
     dt, mass, r_c = 0.01, 5.0, 1.0
     psi = gaussian_packet(GRID, -2.0, 0.5, sigma=2.0, mass=mass)
     hits = [(37, -1.0), (38, 0.5), (140, 2.0), (300, -0.5)]
-    stepper = Stepper(GRID, Potential.free(), dt, mass)
+    step = _strang(GRID, Potential.free(), dt, mass)
     stepped, flight, b = psi.amps, FreeFlight(GRID, mass, psi.amps[None, None]), 0
     for b_hit, a in hits:
         for _ in range(b_hit - b):
-            stepped = stepper.step(stepped)
+            stepped = step(stepped)
         b = b_hit
         g = np.exp(-((GRID.x - a) ** 2) / (2 * r_c**2))
         stepped = g * stepped / np.sqrt(np.sum(np.abs(g * stepped) ** 2) * GRID.dx)
@@ -135,7 +142,7 @@ def test_free_flight_matches_free_steps_across_hits():
         flight.anchor(exact / np.sqrt(np.sum(np.abs(exact) ** 2) * GRID.dx),
                       np.array([b_hit * dt]))
     for _ in range(400 - b):
-        stepped = stepper.step(stepped)
+        stepped = step(stepped)
     np.testing.assert_allclose(flight.at(400 * dt)[0, 0], stepped, rtol=0, atol=1e-10)
 
 
@@ -179,18 +186,19 @@ def test_free_flight_fails_a_state_that_wraps_the_box():
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_stepper_rows_match_single_steps_bitwise(n):
-    # the driver steps all rows in one call; each row must come out
+    # the flight steps all rows in one call; each row must come out
     # exactly as if evolved alone, or multi-branch runs would lose their bytes
     grid = Grid1D.centered(n, 64.0)
     rows = np.stack([
         gaussian_packet(grid, -8.0, 1.0, 1.0, 3.0).amps,
         0.5j * gaussian_packet(grid, 8.0, -2.0, 2.0, 3.0).amps,
     ])
-    stepper = Stepper(grid, Potential.harmonic(0.05), 0.004, 3.0)
-    both, single = rows, [rows[0], rows[1]]
+    v = Potential.harmonic(0.05)
+    step = _strang(grid, v, 0.004, 3.0)
+    both = SteppedFlight(grid, v, 0.004, 3.0, rows[None]).at(20 * 0.004)[0]
+    single = [rows[0], rows[1]]
     for _ in range(20):
-        both = stepper.step(both)
-        single = [stepper.step(r) for r in single]
+        single = [step(r) for r in single]
     for k in range(2):
         assert both[k].tobytes() == single[k].tobytes()
 
