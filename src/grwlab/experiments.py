@@ -15,7 +15,9 @@ import numpy as np
 
 from .collapse import CollapseParams, effective_reduction_rate, grw_process, sample_times
 from .ensemble import block_ranges, map_trajectories, total
-from .errors import ConfigError, DecisionTimeoutError, StatisticsError, as_config_error
+from .errors import (
+    ConfigError, DecisionTimeoutError, DomainError, StatisticsError, as_config_error,
+)
 from .propagator import FreeFlight, drift_phase
 from .qstate import Grid1D, fresh, gaussian_packet, momentum_moments, superpose
 from .rates import heating_rate, momentum_diffusion_rate, visibility_analytic
@@ -146,11 +148,11 @@ def require_positive(**values: float) -> None:
             raise ConfigError(f"{name} must be > 0 and finite, got {value}")
 
 
-def _require_counts(cfg, *names: str) -> None:
+def _require_counts(cfg, *names: str, least: int = 1) -> None:
     for name in names:
         value = getattr(cfg, name)
-        if not (isinstance(value, int) and value >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+        if not (isinstance(value, int) and value >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
 
 
 def _grid(cfg) -> Grid1D:
@@ -487,7 +489,8 @@ class VisibilityConfig:
 
     def __post_init__(self):
         require_positive(sigma0=self.sigma0, mass=self.mass)
-        _require_counts(self, "n_batches", "n_fringes")
+        _require_counts(self, "n_fringes")
+        _require_counts(self, "n_batches", least=2)  # for a batch-means error bar
         _grid(self)
 
 
@@ -611,6 +614,8 @@ def visibility_experiment(
     coherence between the two arms at separation exactly d.
     """
     require_positive(t_flight=t_flight)
+    if ensemble_size < 2:
+        raise ConfigError(f"n_traj must be >= 2 for a batch-means error bar, got {ensemble_size}")
     if d < 12.0 * cfg.sigma0:
         raise ConfigError(
             f"d_internal must be >= 12 sigma0 = {12 * cfg.sigma0:g} for well "
@@ -623,7 +628,10 @@ def visibility_experiment(
     fringe_spacing = 2.0 * np.pi / d
     p_axis = screen_axis(start.grid)
 
-    ideal = padded_screen(_unhit_screen(cfg, d, t_flight))  # the no-collapse control
+    try:
+        ideal = padded_screen(_unhit_screen(cfg, d, t_flight))  # the no-collapse control
+    except DomainError as e:
+        raise ConfigError(f"t_flight must keep the unhit arms in their box: {e}") from None
     v_ideal = fringe_contrast(ideal, p_axis, fringe_spacing, cfg.n_fringes)
 
     # the batch-means batches are the ensemble's runs: one summed screen each
@@ -645,7 +653,7 @@ def visibility_experiment(
             v_b = 0.0
         ratios.append(v_b / v_ideal)
     ratios = np.asarray(ratios)
-    stderr = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    stderr = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
 
     t_si = DEFAULT_UNITS.time_to_si(t_flight)
     report = Report(

@@ -192,6 +192,20 @@ def test_heating_with_too_few_expected_hits_is_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: expected hits")
 
 
+@pytest.mark.parametrize("argv, key", [
+    # a batch-means error bar needs two batches, and a batch one trajectory
+    (["--n-traj", "1"], "n_traj"),
+    (["--n-traj", "40", "--n-batches", "1"], "n_batches"),
+    # the light unhit arms, built at set-up, spread over the box by t_flight
+    (["--n-traj", "2", "--mass", "1e-9"], "t_flight"),
+], ids=["one-trajectory", "one-batch", "light"])
+@pytest.mark.usefixtures("no_trajectory")
+def test_a_visibility_run_its_config_rules_out_is_exit_one(tmp_path, capsys, argv, key):
+    argv = ["visibility", *argv, "--lambda-internal", "1", "--rc-internal", "4"]
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+
+
 @pytest.mark.parametrize("argv", [
     ["visibility", "--n-traj", "4"],
     # arms at the edges of the 128-wide box: d + 12 sigma0 = extent
